@@ -8,6 +8,7 @@ are partitioned across workers.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import json
 import math
@@ -15,6 +16,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,11 +36,17 @@ from .functions import (
 )
 from .linalg import (
     DensityMatrix,
+    DomainError,
     HermitianMatrix,
+    density_stack,
+    eigh_stack,
     element_table,
+    element_tables,
     hermitian_eigen,
+    hermitian_stack,
     matrix_to_json,
 )
+from .quantities import _fgh_ij, _gwyd_ij, _tilde_ij, _total, _triple_values, _wyd_ij
 
 __all__ = [
     "InequalityId",
@@ -167,16 +175,6 @@ class InequalitySetting:
         return doc
 
 
-def _check_thm22_regime(alpha: float, beta: float) -> None:
-    if alpha < 0.0 or beta < 0.0:
-        raise ConfigError(f"THM22 exponents must be nonnegative: ({alpha}, {beta})")
-    s = alpha + beta
-    if 0.5 < s < 1.0:
-        raise ConfigError(
-            f"THM22 excludes 1/2 < alpha + beta < 1, got alpha + beta = {s}"
-        )
-
-
 @dataclass(frozen=True)
 class CampaignConfig:
     """Seeded campaign: which inequalities, which dimensions, how many samples."""
@@ -204,6 +202,15 @@ class CampaignConfig:
         if self.slack < 0.0:
             raise ConfigError("slack must be nonnegative")
         object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
+        # a sampled state's smallest eigenvalue is at least delta / n
+        floor = self.delta / max(self.dims)
+        for s in self.inequalities:
+            if s.triple is not None and s.triple.eps > floor:
+                raise ConfigError(
+                    f"{s.id.value}: the functions' domain floor eps = {s.triple.eps:g} "
+                    f"exceeds delta / n = {floor:g} at dim {max(self.dims)}, so sampled "
+                    "states could fall below it"
+                )
 
     def to_dict(self) -> dict:
         return {
@@ -311,8 +318,24 @@ def config_from_dict(doc: dict) -> CampaignConfig:
 # samplers
 
 
+def _ginibre_from(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    return (re + 1j * im) / math.sqrt(2)
+
+
 def _ginibre(n: int, rng: np.random.Generator) -> np.ndarray:
-    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
+    return _ginibre_from(rng.standard_normal((n, n)), rng.standard_normal((n, n)))
+
+
+def _state_from(g: np.ndarray, delta: float) -> np.ndarray:
+    """(1 - delta) G G† / Tr[G G†] + (delta / n) I, for one G or a stack."""
+    n = g.shape[-1]
+    w = g @ np.swapaxes(g, -1, -2).conj()
+    tr = np.trace(w, axis1=-2, axis2=-1).real
+    return (1.0 - delta) * w / np.asarray(tr)[..., None, None] + (delta / n) * np.eye(n)
+
+
+def _observable_from(g: np.ndarray) -> np.ndarray:
+    return (g + np.swapaxes(g, -1, -2).conj()) / 2
 
 
 def sample_density(n: int, rng: np.random.Generator, delta: float = 1e-3) -> DensityMatrix:
@@ -320,16 +343,12 @@ def sample_density(n: int, rng: np.random.Generator, delta: float = 1e-3) -> Den
     maximally mixed state, so the smallest eigenvalue is at least delta/n."""
     if n < 2:
         raise ValueError("dimension must be at least 2")
-    g = _ginibre(n, rng)
-    w = g @ g.conj().T
-    rho = (1.0 - delta) * w / float(np.trace(w).real) + (delta / n) * np.eye(n)
-    return DensityMatrix(rho)
+    return DensityMatrix(_state_from(_ginibre(n, rng), delta))
 
 
 def sample_observable(n: int, rng: np.random.Generator, scale: float = 1.0) -> HermitianMatrix:
     """Gaussian Hermitian observable (symmetrized complex Gaussian matrix)."""
-    g = scale * _ginibre(n, rng)
-    return HermitianMatrix((g + g.conj().T) / 2)
+    return HermitianMatrix(_observable_from(scale * _ginibre(n, rng)))
 
 
 def sample_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -343,16 +362,12 @@ def sample_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 _PARAM_SALT = 0xA5A5_5A5A_DEAD_BEEF
 
 
+def _matrix_key(seed: int, dim: int, index: int) -> np.ndarray:
+    return np.array([seed, (dim << 44) | index], dtype=np.uint64)
+
+
 def _matrix_rng(seed: int, dim: int, index: int) -> np.random.Generator:
-    key = np.array([seed, (dim << 44) | index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-def _param_rng(seed: int, dim: int, index: int, ordinal: int) -> np.random.Generator:
-    key = np.array(
-        [seed ^ _PARAM_SALT, (ordinal << 56) | (dim << 44) | index], dtype=np.uint64
-    )
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_matrix_key(seed, dim, index)))
 
 
 def _draw_sample(seed, dim, index, delta):
@@ -363,104 +378,348 @@ def _draw_sample(seed, dim, index, delta):
     return rho, a, b
 
 
+def _draw_block(seed: int, dim: int, indices: np.ndarray, delta: float):
+    """Validated stacks (rho, A, B) [S, n, n] of the samples ``indices``.
+
+    Sample i draws from the same Philox stream as ``_draw_sample``: one
+    standard_normal((6, n, n)) call yields the six (n, n) draws that
+    ``_draw_sample`` makes one by one. Resetting one bit generator's state
+    per sample gives that stream without constructing a Philox each time.
+    """
+    z = np.empty((len(indices), 6, dim, dim))
+    bitgen = np.random.Philox(key=0)
+    rng = np.random.Generator(bitgen)
+    zero = np.zeros(4, dtype=np.uint64)
+    for k, index in enumerate(indices.tolist()):
+        bitgen.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": zero, "key": _matrix_key(seed, dim, index)},
+            "buffer": zero,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        rng.standard_normal(out=z[k])
+    g = _ginibre_from(z[:, 0::2], z[:, 1::2])
+    return (
+        density_stack(_state_from(g[:, 0], delta)),
+        hermitian_stack(_observable_from(g[:, 1])),
+        hermitian_stack(_observable_from(g[:, 2])),
+    )
+
+
+# Philox4x64-10 (Salmon et al., SC'11) as numpy implements it, vectorized
+# over keys: multipliers, Weyl key increments, and 2**-53 for random().
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_LOW32 = np.uint64(0xFFFF_FFFF)
+_U32 = np.uint64(32)
+
+
+def _mulhilo(a: np.uint64, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Low and high 64-bit words of the 128-bit products a * b."""
+    a_lo, a_hi = a & _LOW32, a >> _U32
+    b_lo, b_hi = b & _LOW32, b >> _U32
+    ll, lh, hl = a_lo * b_lo, a_lo * b_hi, a_hi * b_lo
+    mid = (ll >> _U32) + (lh & _LOW32) + (hl & _LOW32)
+    hi = a_hi * b_hi + (lh >> _U32) + (hl >> _U32) + (mid >> _U32)
+    return a * b, hi
+
+
+def _philox_random(key0: int, key1: np.ndarray) -> np.ndarray:
+    """The first four ``random()`` doubles of
+    ``Generator(Philox(key=[key0, k]))`` for every k in ``key1``, as [S, 4].
+
+    A fresh Philox starts at counter 0 and increments it before its first
+    block, so the first four outputs are one 10-round block at counter 1.
+    """
+    k0 = np.full(key1.shape, key0, dtype=np.uint64)
+    k1 = key1.astype(np.uint64)
+    c0 = np.ones(key1.shape, dtype=np.uint64)
+    c1 = c2 = c3 = np.zeros(key1.shape, dtype=np.uint64)
+    for r in range(10):
+        if r:
+            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+        lo0, hi0 = _mulhilo(_PHILOX_M[0], c0)
+        lo1, hi1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    words = np.stack([c0, c1, c2, c3], axis=-1)
+    return (words >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+
+
+def _param_draws(seed: int, dim: int, indices: np.ndarray, ordinal: int) -> np.ndarray:
+    """Uniform draws [S, 4] from each sample's parameter stream."""
+    key1 = (
+        np.uint64((ordinal << 56) | (dim << 44)) | indices.astype(np.uint64)
+    )
+    return _philox_random(seed ^ _PARAM_SALT, key1)
+
+
+@dataclass(frozen=True)
+class _TriplePlan:
+    """Per-setting precomputation for the function-triple inequalities."""
+
+    triple: FunctionTriple
+    assumption: Assumption
+    beta: float
+
+
+def _plan_triple(setting: InequalitySetting) -> _TriplePlan:
+    triple = setting.triple
+    assumption = check_assumption(triple)
+    if setting.id is InequalityId.THM31_FGH and assumption is Assumption.NEITHER:
+        raise ConfigError(
+            "THM31_FGH requires the triple to satisfy one of the two "
+            "divided-difference conditions; this one satisfies neither"
+        )
+    if setting.id is InequalityId.COR41_PAIR:
+        kind, _, _ = classify_pair(triple.f, triple.g)
+        if kind is not PairClass.MONOTONE:
+            raise ConfigError("COR41_PAIR requires (f, g) to be a monotone pair")
+    return _TriplePlan(
+        triple=triple,
+        assumption=assumption,
+        beta=beta_coefficient(ratio_bounds(triple)),
+    )
+
+
+def _block_params(
+    setting: InequalitySetting, indices: np.ndarray, seed: int, dim: int, ordinal: int
+) -> dict:
+    """Fixed, cycled, or freshly drawn parameters, one array entry per sample."""
+    ineq = setting.id
+    size = len(indices)
+    if ineq in _PLAIN_IDS or ineq in (InequalityId.THM31_FGH, InequalityId.COR41_PAIR):
+        return {}
+    if ineq in _ALPHA_IDS:
+        if isinstance(setting.alpha, tuple):
+            return {"alpha": np.asarray(setting.alpha)[indices % len(setting.alpha)]}
+        if setting.alpha is not None:
+            return {"alpha": np.full(size, setting.alpha)}
+        return {"alpha": _param_draws(seed, dim, indices, ordinal)[:, 0]}
+    if ineq is InequalityId.THM22_GWYD:
+        if isinstance(setting.alpha, float) and setting.beta is not None:
+            return {"alpha": np.full(size, setting.alpha), "beta": np.full(size, setting.beta)}
+        u = _param_draws(seed, dim, indices, ordinal)
+        regime = setting.regime or "both"
+        low = (regime == "low") | ((regime == "both") & (u[:, 0] < 0.5))
+        s = np.where(low, 0.5 * u[:, 1], 1.0 + u[:, 1])
+        alpha = s * u[:, 2]
+        return {"alpha": alpha, "beta": s - alpha}
+    if ineq is InequalityId.THM23_TILDE:
+        if setting.alpha is not None and setting.beta is not None:
+            return {"alpha": np.full(size, setting.alpha), "beta": np.full(size, setting.beta)}
+        u = _param_draws(seed, dim, indices, ordinal)
+        return {"alpha": 0.05 + 1.95 * u[:, 0], "beta": 0.05 + 1.95 * u[:, 1]}
+    raise ConfigError(f"unhandled inequality {ineq}")
+
+
+def _resolve_params(setting: InequalitySetting, index: int, seed: int, dim: int, ordinal: int) -> dict:
+    """Fixed, cycled, or freshly drawn parameters for one sample."""
+    params = _block_params(setting, np.array([index]), seed, dim, ordinal)
+    return {name: float(values[0]) for name, values in params.items()}
+
+
 # --------------------------------------------------------------------------
 # evaluation
 
 
-@dataclass(frozen=True, eq=False)
-class _SampleContext:
-    rho: DensityMatrix
-    a: HermitianMatrix
-    b: HermitianMatrix
-    lam: np.ndarray
-    ta: np.ndarray   # centered A in the state eigenbasis
-    tb: np.ndarray
-    wa: np.ndarray   # |ta|^2
-    wb: np.ndarray
+class _Batch:
+    """S samples of one dimension in their states' eigenbases, with the
+    per-sample reductions that every inequality kernel shares."""
+
+    def __init__(self, lam: np.ndarray, ta: np.ndarray, tb: np.ndarray):
+        self.lam = lam                                   # [S, n], descending
+        self.w = (np.abs(ta) ** 2, np.abs(tb) ** 2)      # [S, n, n]
+        self.row = tuple(w.sum(axis=-1) for w in self.w)
+        self.var = tuple(_total(lam, row) for row in self.row)   # Tr[rho H0^2]
+        d = np.einsum("sij,sji->si", ta, tb)             # diag(T_A T_B)
+        self.im_d = d.imag
+        self.cov = np.sum(lam * d.real, axis=-1)         # Re Tr[rho A0 B0]
+
+    def comm_sq(self, weights: np.ndarray) -> np.ndarray:
+        """|Tr[diag(weights) [A, B]]|^2 in the eigenbasis. The tables are
+        Hermitian, so diag(T_B T_A) = conj(diag(T_A T_B)) and the trace is
+        2i sum_i weights_i Im d_i."""
+        return 4.0 * np.sum(weights * self.im_d, axis=-1) ** 2
+
+    def wyd(self, k: int, alpha) -> tuple[np.ndarray, np.ndarray]:
+        return _wyd_ij(self.lam, self.w[k], self.row[k], alpha)
+
+    def u_product(self, family, *params) -> np.ndarray:
+        """U_A * U_B, where U = sqrt(I J) from one family's (I, J)."""
+        ua, ub = (_u_value(*family(self.lam, w, row, *params)) for w, row in zip(self.w, self.row))
+        return ua * ub
+
+    @functools.cached_property
+    def half(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """(I, J) at alpha = 1/2 for A and for B."""
+        return self.wyd(0, 0.5), self.wyd(1, 0.5)
+
+    def luo_u(self, k: int) -> np.ndarray:
+        v = self.var[k]
+        i_val = np.maximum(self.half[k][0], 0.0)
+        return np.sqrt(np.maximum(v**2 - (v - i_val) ** 2, 0.0))
 
 
-def _make_context(rho, a, b) -> _SampleContext:
-    decomp = hermitian_eigen(rho)
-    ta = element_table(decomp, a).entries
-    tb = element_table(decomp, b).entries
-    return _SampleContext(
-        rho=rho,
-        a=a,
-        b=b,
-        lam=decomp.eigenvalues,
-        ta=ta,
-        tb=tb,
-        wa=np.abs(ta) ** 2,
-        wb=np.abs(tb) ** 2,
+def _u_value(i_val, j_val):
+    return np.sqrt(np.maximum(i_val, 0.0) * np.maximum(j_val, 0.0))
+
+
+def _chain(values, links):
+    """Worst link of each sample's chain v0 <= v1 <= ...: (upper, lower, link)."""
+    v = np.stack(np.broadcast_arrays(*values), axis=-1)
+    k = np.argmin(np.diff(v, axis=-1), axis=-1)
+    rows = np.arange(v.shape[0])
+    return v[rows, k + 1], v[rows, k], {"link": np.asarray(links)[k]}
+
+
+def _first(bad: np.ndarray, *arrays) -> tuple[float, ...]:
+    k = int(np.flatnonzero(bad)[0])
+    return tuple(float(np.asarray(a).flat[k]) for a in arrays)
+
+
+def _check_thm22_regime(alpha, beta) -> None:
+    alpha = np.asarray(alpha, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    bad = (alpha < 0.0) | (beta < 0.0)
+    if np.any(bad):
+        raise ConfigError(
+            "THM22 exponents must be nonnegative: ({}, {})".format(*_first(bad, alpha, beta))
+        )
+    s = alpha + beta
+    bad = (0.5 < s) & (s < 1.0)
+    if np.any(bad):
+        raise ConfigError(
+            f"THM22 excludes 1/2 < alpha + beta < 1, got alpha + beta = {_first(bad, s)[0]}"
+        )
+
+
+def _heisenberg(batch, params, plan):
+    return batch.var[0] * batch.var[1], 0.25 * batch.comm_sq(batch.lam), {}
+
+
+def _schrodinger(batch, params, plan):
+    lhs = batch.var[0] * batch.var[1] - batch.cov**2
+    return lhs, 0.25 * batch.comm_sq(batch.lam), {}
+
+
+def _luo23(batch, params, plan):
+    return batch.luo_u(0) * batch.luo_u(1), 0.25 * batch.comm_sq(batch.lam), {}
+
+
+def _naive(batch, params, plan):
+    (ia, _), (ib, _) = batch.half
+    lhs = np.maximum(ia, 0.0) * np.maximum(ib, 0.0)
+    return lhs, 0.25 * batch.comm_sq(batch.lam), {}
+
+
+def _thm21(batch, params, plan):
+    alpha = params["alpha"]
+    bad = ~((0.0 <= alpha) & (alpha <= 1.0))
+    if np.any(bad):
+        raise ValueError(f"alpha must lie in [0, 1], got {_first(bad, alpha)[0]}")
+    lhs = batch.u_product(_wyd_ij, alpha)
+    return lhs, alpha * (1.0 - alpha) * batch.comm_sq(batch.lam), {}
+
+
+def _thm22(batch, params, plan):
+    alpha, beta = params["alpha"], params["beta"]
+    _check_thm22_regime(alpha, beta)
+    return batch.u_product(_gwyd_ij, alpha, beta), alpha * beta * batch.comm_sq(batch.lam), {}
+
+
+def _thm23(batch, params, plan):
+    alpha, beta = params["alpha"], params["beta"]
+    bad = (alpha < 0.0) | (beta < 0.0) | (alpha * beta == 0.0)
+    if np.any(bad):
+        raise ValueError("need alpha, beta > 0, got ({}, {})".format(*_first(bad, alpha, beta)))
+    s = alpha + beta
+    rhs = alpha * beta / s**2 * batch.comm_sq(batch.lam ** s[:, None])
+    return batch.u_product(_tilde_ij, alpha, beta), rhs, {}
+
+
+def _fgh(batch, params, plan):
+    lam = batch.lam
+    eps = plan.triple.eps
+    if np.any(lam[:, -1] < eps):
+        raise DomainError(
+            f"smallest eigenvalue {float(lam[:, -1].min()):.3e} is below the "
+            f"triple's domain floor {eps:.1e}"
+        )
+    fv, gv, hv = _triple_values(plan.triple, lam)
+    lhs = _u_value(*_fgh_ij(batch.w[0], batch.row[0], fv, gv, hv)) * _u_value(
+        *_fgh_ij(batch.w[1], batch.row[1], fv, gv, hv)
+    )
+    rhs = plan.beta * batch.comm_sq(fv * gv * hv)
+    return lhs, rhs, {"beta": plan.beta, "assumption": plan.assumption.value}
+
+
+def _chain24(batch, params, plan):
+    v = batch.var[0]
+    i_val = np.maximum(batch.half[0][0], 0.0)
+    return _chain((0.0, i_val, batch.luo_u(0), v), ("I>=0", "U>=I", "V>=U"))
+
+
+def _chain25(batch, params, plan):
+    alpha = params["alpha"]
+    i_a, j_a = batch.wyd(0, alpha)
+    i_h, j_h = batch.half[0]
+    return _chain(
+        (i_a, i_h, j_h, j_a), ("I_half>=I_alpha", "J_half>=I_half", "J_alpha>=J_half")
     )
 
 
-def _total(lam, w) -> float:
-    return float(lam @ w.sum(axis=1))
-
-
-def _exchange(lam, w, s: float) -> float:
-    return float(lam**s @ w @ lam ** (1.0 - s))
-
-
-def _comm_trace_sq(weights: np.ndarray, ta, tb) -> float:
-    """|Tr[diag(weights) [A, B]]|^2 in the eigenbasis."""
-    t = np.einsum("i,ij,ji->", weights, ta, tb) - np.einsum(
-        "i,ij,ji->", weights, tb, ta
+def _chain27(batch, params, plan):
+    i_a, j_a = batch.wyd(0, params["alpha"])
+    return _chain(
+        (0.0, i_a, _u_value(i_a, j_a), batch.luo_u(0)),
+        ("I_alpha>=0", "U_alpha>=I_alpha", "U>=U_alpha"),
     )
-    return float(abs(t) ** 2)
 
 
-def _u_value(i_val: float, j_val: float) -> float:
-    return math.sqrt(max(i_val, 0.0) * max(j_val, 0.0))
+# One kernel per inequality: (batch, per-sample params, triple plan) ->
+# (lhs [S], rhs [S], extra params, each a per-sample array or one value).
+_KERNELS = {
+    InequalityId.HEISENBERG_21: _heisenberg,
+    InequalityId.SCHRODINGER: _schrodinger,
+    InequalityId.LUO_23: _luo23,
+    InequalityId.NAIVE_WY_SHOULD_FAIL: _naive,
+    InequalityId.THM21_WYD: _thm21,
+    InequalityId.THM22_GWYD: _thm22,
+    InequalityId.THM23_TILDE: _thm23,
+    InequalityId.THM31_FGH: _fgh,
+    InequalityId.COR41_PAIR: _fgh,
+    InequalityId.CHAIN_24: _chain24,
+    InequalityId.CHAIN_25: _chain25,
+    InequalityId.CHAIN_27: _chain27,
+}
 
 
-def _wyd_iju(lam, w, alpha: float):
-    t0 = _total(lam, w)
-    ex = _exchange(lam, w, alpha)
-    return t0 - ex, t0 + ex, t0
+class _EntryBlock(NamedTuple):
+    """One inequality entry evaluated on one block of samples."""
+
+    lhs: np.ndarray
+    rhs: np.ndarray
+    margin: np.ndarray
+    passed: np.ndarray
+    params: dict   # per-sample arrays, or one value for the whole entry
+
+    def params_at(self, k: int) -> dict:
+        return {
+            name: value[k].item() if isinstance(value, np.ndarray) else value
+            for name, value in self.params.items()
+        }
 
 
-def _gwyd_iju(lam, w, alpha: float, beta: float):
-    t0 = _total(lam, w)
-    e_ab = _exchange(lam, w, alpha + beta)
-    e_a = _exchange(lam, w, alpha)
-    e_b = _exchange(lam, w, beta)
-    i_val = 0.5 * (t0 + e_ab - e_a - e_b)
-    j_val = 0.5 * (t0 + e_ab + e_a + e_b)
-    return i_val, j_val
+def _passes(margin, lhs, rhs, slack: float):
+    return margin >= -slack * np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
 
 
-def _tilde_iju(lam, w, alpha: float, beta: float):
-    t_s = float(lam ** (alpha + beta) @ w.sum(axis=1))
-    ex = float(lam**alpha @ w @ lam**beta)
-    return t_s - ex, t_s + ex
-
-
-def _fgh_iju(lam, w, fv, gv, hv):
-    row = w.sum(axis=1)
-    t1 = float((fv * gv * hv) @ row)
-    t2 = float((fv * gv) @ w @ hv)
-    t3 = float(fv @ w @ (gv * hv))
-    t4 = float(gv @ w @ (fv * hv))
-    return 0.5 * (t1 + t2) - 0.5 * (t3 + t4), 0.5 * (t1 + t2) + 0.5 * (t3 + t4)
-
-
-def _luo_u_from(lam, w) -> float:
-    v = _total(lam, w)
-    i_val = max(v - _exchange(lam, w, 0.5), 0.0)
-    return math.sqrt(max(v**2 - (v - i_val) ** 2, 0.0))
-
-
-def _chain_worst(values, names):
-    """Worst link of a chain v0 <= v1 <= ... ; returns (upper, lower, link)."""
-    worst = None
-    for k in range(1, len(values)):
-        margin = values[k] - values[k - 1]
-        if worst is None or margin < worst[0]:
-            worst = (margin, values[k], values[k - 1], names[k - 1])
-    _, upper, lower, link = worst
-    return upper, lower, link
+def _evaluate_block(setting, batch: _Batch, params: dict, plan, slack: float) -> _EntryBlock:
+    lhs, rhs, extra = _KERNELS[setting.id](batch, params, plan)
+    margin = lhs - rhs
+    return _EntryBlock(lhs, rhs, margin, _passes(margin, lhs, rhs, slack), {**params, **extra})
 
 
 @dataclass
@@ -496,179 +755,41 @@ class SampleRecord:
         return doc
 
 
-@dataclass(frozen=True)
-class _TriplePlan:
-    """Per-setting precomputation for the function-triple inequalities."""
-
-    triple: FunctionTriple
-    assumption: Assumption
-    beta: float
-
-
-def _plan_triple(setting: InequalitySetting) -> _TriplePlan:
-    triple = setting.triple
-    assumption = check_assumption(triple)
-    if setting.id is InequalityId.THM31_FGH and assumption is Assumption.NEITHER:
-        raise ConfigError(
-            "THM31_FGH requires the triple to satisfy one of the two "
-            "divided-difference conditions; this one satisfies neither"
-        )
-    if setting.id is InequalityId.COR41_PAIR:
-        kind, _, _ = classify_pair(triple.f, triple.g)
-        if kind is not PairClass.MONOTONE:
-            raise ConfigError("COR41_PAIR requires (f, g) to be a monotone pair")
-    return _TriplePlan(
-        triple=triple,
-        assumption=assumption,
-        beta=beta_coefficient(ratio_bounds(triple)),
+def _record(setting, entry: _EntryBlock, k: int, index: int, rho, a, b) -> SampleRecord:
+    """The sample at position k of an evaluated block, with its matrices."""
+    return SampleRecord(
+        inequality=setting.id,
+        dim=rho.dim,
+        index=index,
+        lhs=float(entry.lhs[k]),
+        rhs=float(entry.rhs[k]),
+        margin=float(entry.margin[k]),
+        passed=bool(entry.passed[k]),
+        params=entry.params_at(k),
+        state=np.asarray(rho),
+        obs_a=np.asarray(a),
+        obs_b=np.asarray(b),
     )
 
 
-def _resolve_params(setting: InequalitySetting, index: int, seed: int, dim: int, ordinal: int) -> dict:
-    """Fixed, cycled, or freshly drawn parameters for one sample."""
-    ineq = setting.id
-    if ineq in _PLAIN_IDS or ineq in (InequalityId.THM31_FGH, InequalityId.COR41_PAIR):
-        return {}
-    if ineq in _ALPHA_IDS:
-        if isinstance(setting.alpha, tuple):
-            return {"alpha": setting.alpha[index % len(setting.alpha)]}
-        if setting.alpha is not None:
-            return {"alpha": setting.alpha}
-        rng = _param_rng(seed, dim, index, ordinal)
-        return {"alpha": float(rng.random())}
-    if ineq is InequalityId.THM22_GWYD:
-        if isinstance(setting.alpha, float) and setting.beta is not None:
-            return {"alpha": setting.alpha, "beta": setting.beta}
-        rng = _param_rng(seed, dim, index, ordinal)
-        u = rng.random(3)
-        regime = setting.regime or "both"
-        low = regime == "low" or (regime == "both" and u[0] < 0.5)
-        s = 0.5 * u[1] if low else 1.0 + u[1]
-        alpha = s * u[2]
-        return {"alpha": float(alpha), "beta": float(s - alpha)}
-    if ineq is InequalityId.THM23_TILDE:
-        if setting.alpha is not None and setting.beta is not None:
-            return {"alpha": setting.alpha, "beta": setting.beta}
-        rng = _param_rng(seed, dim, index, ordinal)
-        u = rng.random(2)
-        return {"alpha": float(0.05 + 1.95 * u[0]), "beta": float(0.05 + 1.95 * u[1])}
-    raise ConfigError(f"unhandled inequality {ineq}")
+def _as_setting(setting: InequalitySetting | InequalityId | str) -> InequalitySetting:
+    if isinstance(setting, str):
+        setting = InequalityId(setting)
+    if isinstance(setting, InequalityId):
+        setting = InequalitySetting(id=setting)
+    return setting
 
 
-def _evaluate(
-    setting: InequalitySetting,
-    ctx: _SampleContext,
-    params: dict,
-    plan: _TriplePlan | None,
-) -> tuple[float, float, dict]:
-    """Return (lhs, rhs, extra-params) for one inequality instance."""
-    lam, ta, tb, wa, wb = ctx.lam, ctx.ta, ctx.tb, ctx.wa, ctx.wb
-    ineq = setting.id
-    comm_sq = None
-    if ineq in (
-        InequalityId.HEISENBERG_21,
-        InequalityId.SCHRODINGER,
-        InequalityId.LUO_23,
-        InequalityId.THM21_WYD,
-        InequalityId.THM22_GWYD,
-        InequalityId.NAIVE_WY_SHOULD_FAIL,
-    ):
-        comm_sq = _comm_trace_sq(lam, ta, tb)
-
-    if ineq is InequalityId.HEISENBERG_21:
-        return _total(lam, wa) * _total(lam, wb), 0.25 * comm_sq, {}
-
-    if ineq is InequalityId.SCHRODINGER:
-        cov = np.einsum("i,ij,ji->", lam, ta, tb)
-        lhs = _total(lam, wa) * _total(lam, wb) - float(cov.real) ** 2
-        return lhs, 0.25 * comm_sq, {}
-
-    if ineq is InequalityId.LUO_23:
-        return _luo_u_from(lam, wa) * _luo_u_from(lam, wb), 0.25 * comm_sq, {}
-
-    if ineq is InequalityId.NAIVE_WY_SHOULD_FAIL:
-        ia = max(_total(lam, wa) - _exchange(lam, wa, 0.5), 0.0)
-        ib = max(_total(lam, wb) - _exchange(lam, wb, 0.5), 0.0)
-        return ia * ib, 0.25 * comm_sq, {}
-
-    if ineq is InequalityId.THM21_WYD:
-        alpha = params["alpha"]
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-        ia, ja, _ = _wyd_iju(lam, wa, alpha)
-        ib, jb, _ = _wyd_iju(lam, wb, alpha)
-        lhs = _u_value(ia, ja) * _u_value(ib, jb)
-        return lhs, alpha * (1.0 - alpha) * comm_sq, {}
-
-    if ineq is InequalityId.THM22_GWYD:
-        alpha, beta = params["alpha"], params["beta"]
-        _check_thm22_regime(alpha, beta)
-        ia, ja = _gwyd_iju(lam, wa, alpha, beta)
-        ib, jb = _gwyd_iju(lam, wb, alpha, beta)
-        lhs = _u_value(ia, ja) * _u_value(ib, jb)
-        return lhs, alpha * beta * comm_sq, {}
-
-    if ineq is InequalityId.THM23_TILDE:
-        alpha, beta = params["alpha"], params["beta"]
-        if alpha < 0.0 or beta < 0.0 or alpha * beta == 0.0:
-            raise ValueError(f"need alpha, beta > 0, got ({alpha}, {beta})")
-        ia, ja = _tilde_iju(lam, wa, alpha, beta)
-        ib, jb = _tilde_iju(lam, wb, alpha, beta)
-        lhs = _u_value(ia, ja) * _u_value(ib, jb)
-        rhs = (
-            alpha
-            * beta
-            / (alpha + beta) ** 2
-            * _comm_trace_sq(lam ** (alpha + beta), ta, tb)
-        )
-        return lhs, rhs, {}
-
-    if ineq in (InequalityId.THM31_FGH, InequalityId.COR41_PAIR):
-        triple = plan.triple
-        fv = np.asarray(triple.f.value(lam), dtype=float)
-        gv = np.asarray(triple.g.value(lam), dtype=float)
-        hv = np.asarray(triple.h.value(lam), dtype=float)
-        ia, ja = _fgh_iju(lam, wa, fv, gv, hv)
-        ib, jb = _fgh_iju(lam, wb, fv, gv, hv)
-        lhs = _u_value(ia, ja) * _u_value(ib, jb)
-        rhs = plan.beta * _comm_trace_sq(fv * gv * hv, ta, tb)
-        return lhs, rhs, {"beta": plan.beta, "assumption": plan.assumption.value}
-
-    if ineq is InequalityId.CHAIN_24:
-        v = _total(lam, wa)
-        i_val = max(v - _exchange(lam, wa, 0.5), 0.0)
-        u_val = _luo_u_from(lam, wa)
-        upper, lower, link = _chain_worst(
-            (0.0, i_val, u_val, v), ("I>=0", "U>=I", "V>=U")
-        )
-        return upper, lower, {"link": link}
-
-    if ineq is InequalityId.CHAIN_25:
-        alpha = params["alpha"]
-        i_a, j_a, _ = _wyd_iju(lam, wa, alpha)
-        i_h, j_h, _ = _wyd_iju(lam, wa, 0.5)
-        upper, lower, link = _chain_worst(
-            (i_a, i_h, j_h, j_a),
-            ("I_half>=I_alpha", "J_half>=I_half", "J_alpha>=J_half"),
-        )
-        return upper, lower, {"alpha": alpha, "link": link}
-
-    if ineq is InequalityId.CHAIN_27:
-        alpha = params["alpha"]
-        i_a, j_a, _ = _wyd_iju(lam, wa, alpha)
-        u_a = _u_value(i_a, j_a)
-        u_half = _luo_u_from(lam, wa)
-        upper, lower, link = _chain_worst(
-            (0.0, i_a, u_a, u_half),
-            ("I_alpha>=0", "U_alpha>=I_alpha", "U>=U_alpha"),
-        )
-        return upper, lower, {"alpha": alpha, "link": link}
-
-    raise ConfigError(f"unhandled inequality {ineq}")
-
-
-def _passes(margin: float, lhs: float, rhs: float, slack: float) -> bool:
-    return margin >= -slack * max(abs(lhs), abs(rhs), 1.0)
+def _evaluate_one(setting, plan, rho, a, b, params: dict, slack: float, index: int) -> SampleRecord:
+    """Evaluate one instance as a batch of one."""
+    decomp = hermitian_eigen(rho)
+    batch = _Batch(
+        decomp.eigenvalues[None],
+        element_table(decomp, a).entries[None],
+        element_table(decomp, b).entries[None],
+    )
+    one = {name: np.array([value]) for name, value in params.items()}
+    return _record(setting, _evaluate_block(setting, batch, one, plan, slack), 0, index, rho, a, b)
 
 
 def evaluate_inequality(
@@ -680,8 +801,6 @@ def evaluate_inequality(
     slack: float = 1e-9,
     *,
     index: int = 0,
-    _ctx: _SampleContext | None = None,
-    _plan: _TriplePlan | None = None,
 ) -> SampleRecord:
     """Evaluate one inequality on explicit matrices.
 
@@ -690,14 +809,8 @@ def evaluate_inequality(
     outside an inequality's validity region raise instead of producing a
     meaningless margin.
     """
-    if isinstance(setting, str):
-        setting = InequalityId(setting)
-    if isinstance(setting, InequalityId):
-        setting = InequalitySetting(id=setting)
-    ctx = _ctx if _ctx is not None else _make_context(rho, a, b)
-    plan = _plan
-    if plan is None and setting.triple is not None:
-        plan = _plan_triple(setting)
+    setting = _as_setting(setting)
+    plan = _plan_triple(setting) if setting.triple is not None else None
     merged = dict(params or {})
     if "alpha" not in merged and isinstance(setting.alpha, float):
         merged["alpha"] = setting.alpha
@@ -708,21 +821,7 @@ def evaluate_inequality(
     if setting.id in (InequalityId.THM22_GWYD, InequalityId.THM23_TILDE):
         if "alpha" not in merged or "beta" not in merged:
             raise ValueError(f"{setting.id.value} needs 'alpha' and 'beta'")
-    lhs, rhs, extra = _evaluate(setting, ctx, merged, plan)
-    margin = lhs - rhs
-    return SampleRecord(
-        inequality=setting.id,
-        dim=ctx.rho.dim,
-        index=index,
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        passed=_passes(margin, lhs, rhs, slack),
-        params={**merged, **extra},
-        state=np.asarray(rho),
-        obs_a=np.asarray(a),
-        obs_b=np.asarray(b),
-    )
+    return _evaluate_one(setting, plan, rho, a, b, merged, slack, index)
 
 
 # --------------------------------------------------------------------------
@@ -735,7 +834,7 @@ class InequalityStats:
     samples: int
     violations: int
     min_margin: float
-    worst: SampleRecord | None
+    worst: SampleRecord
 
     def to_json(self) -> dict:
         return {
@@ -743,7 +842,7 @@ class InequalityStats:
             "samples": self.samples,
             "violations": self.violations,
             "min_margin": self.min_margin,
-            "worst_case": None if self.worst is None else self.worst.to_json(),
+            "worst_case": self.worst.to_json(),
         }
 
 
@@ -791,21 +890,41 @@ def config_hash(config: CampaignConfig) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+# A block holds at most this many matrix elements per stacked (S, n, n)
+# array: enough samples to amortize the per-call overhead at small n, and
+# few enough that the stacks stay a few MB.
+_BLOCK_ELEMENTS = 16384
+
+
+def _blocks(config: CampaignConfig) -> list[tuple[int, int, int]]:
+    """(dim, start, stop) of every block, in report order. The partition
+    depends only on each dim and samples_per_dim, never on the worker count,
+    so the floating-point result of every sample does not either."""
+    out = []
+    for dim in config.dims:
+        size = max(1, _BLOCK_ELEMENTS // (dim * dim))
+        for start in range(0, config.samples_per_dim, size):
+            out.append((dim, start, min(start + size, config.samples_per_dim)))
+    return out
+
+
 def _block_rows(config: CampaignConfig, plans, dim: int, start: int, stop: int):
     """Evaluate every configured inequality on samples [start, stop) of one
-    dimension; returns one light row list per inequality entry."""
-    out = [[] for _ in config.inequalities]
-    for idx in range(start, stop):
-        rho, a, b = _draw_sample(config.seed, dim, idx, config.delta)
-        ctx = _make_context(rho, a, b)
-        for ordinal, setting in enumerate(config.inequalities):
-            params = _resolve_params(setting, idx, config.seed, dim, ordinal)
-            lhs, rhs, _ = _evaluate(setting, ctx, params, plans[ordinal])
-            margin = lhs - rhs
-            out[ordinal].append(
-                (idx, lhs, rhs, margin, _passes(margin, lhs, rhs, config.slack))
-            )
-    return out
+    dimension as one stacked batch; returns one _EntryBlock per entry."""
+    indices = np.arange(start, stop)
+    rho, a, b = _draw_block(config.seed, dim, indices, config.delta)
+    lam, vectors = eigh_stack(rho, density=True)
+    batch = _Batch(lam, element_tables(lam, vectors, a)[0], element_tables(lam, vectors, b)[0])
+    return [
+        _evaluate_block(
+            setting,
+            batch,
+            _block_params(setting, indices, config.seed, dim, ordinal),
+            plans[ordinal],
+            config.slack,
+        )
+        for ordinal, setting in enumerate(config.inequalities)
+    ]
 
 
 def _worker_entry(args):
@@ -827,13 +946,7 @@ def run_campaign(config: CampaignConfig, threads: int | None = None) -> Campaign
         threads = int(os.environ.get("SKEWLAB_THREADS", "1") or "1")
     threads = max(1, threads)
 
-    tasks = []
-    for dim in config.dims:
-        chunk = max(1, -(-config.samples_per_dim // (threads * 4)))
-        for start in range(0, config.samples_per_dim, chunk):
-            stop = min(start + chunk, config.samples_per_dim)
-            tasks.append((dim, start, stop))
-
+    tasks = _blocks(config)
     if threads == 1:
         blocks = [_block_rows(config, plans, *task) for task in tasks]
     else:
@@ -842,47 +955,42 @@ def run_campaign(config: CampaignConfig, threads: int | None = None) -> Campaign
                 pool.map(_worker_entry, [(config, plans, *task) for task in tasks])
             )
 
+    dims = np.concatenate([np.full(stop - start, dim) for dim, start, stop in tasks])
+    indices = np.concatenate([np.arange(start, stop) for _dim, start, stop in tasks])
+    ends = np.cumsum([stop - start for _dim, start, stop in tasks])
     stats: list[InequalityStats] = []
     all_rows: list[tuple] = []
     for ordinal, setting in enumerate(config.inequalities):
-        violations = 0
-        best: tuple | None = None  # (margin, dim_pos, index, lhs, rhs, passed)
-        count = 0
-        for (dim, _start, _stop), block in zip(tasks, blocks):
-            dim_pos = config.dims.index(dim)
-            for idx, lhs, rhs, margin, passed in block[ordinal]:
-                count += 1
-                if not passed:
-                    violations += 1
-                key = (margin, dim_pos, idx)
-                if best is None or key < (best[0], best[1], best[2]):
-                    best = (margin, dim_pos, idx, lhs, rhs, passed)
-                all_rows.append(
-                    (setting.id.value, dim, idx, lhs, rhs, margin, passed)
-                )
-        worst = None
-        if best is not None:
-            margin, dim_pos, idx, lhs, rhs, passed = best
-            dim = config.dims[dim_pos]
-            rho, a, b = _draw_sample(config.seed, dim, idx, config.delta)
-            params = _resolve_params(setting, idx, config.seed, dim, ordinal)
-            worst = evaluate_inequality(
-                setting,
-                rho,
-                a,
-                b,
-                params=params,
-                slack=config.slack,
-                index=idx,
-                _plan=plans[ordinal],
+        parts = [block[ordinal] for block in blocks]
+        lhs, rhs, margin, passed = (
+            np.concatenate([getattr(p, name) for p in parts])
+            for name in ("lhs", "rhs", "margin", "passed")
+        )
+        all_rows.extend(
+            zip(
+                [setting.id.value] * len(margin),
+                dims.tolist(),
+                indices.tolist(),
+                lhs.tolist(),
+                rhs.tolist(),
+                margin.tolist(),
+                passed.tolist(),
             )
+        )
+        # rows run in (dim position, index) order, so the first minimum is
+        # the smallest (margin, dim position, index)
+        worst = int(np.argmin(margin))
+        part = int(np.searchsorted(ends, worst, side="right"))
+        dim, index = int(dims[worst]), int(indices[worst])
+        rho, a, b = _draw_sample(config.seed, dim, index, config.delta)
+        offset = worst - (int(ends[part - 1]) if part else 0)
         stats.append(
             InequalityStats(
                 setting=setting.to_spec(),
-                samples=count,
-                violations=violations,
-                min_margin=best[0] if best is not None else math.inf,
-                worst=worst,
+                samples=len(margin),
+                violations=int(np.count_nonzero(~passed)),
+                min_margin=float(margin[worst]),
+                worst=_record(setting, parts[part], offset, index, rho, a, b),
             )
         )
 
@@ -911,29 +1019,12 @@ def search_counterexample(
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    if isinstance(setting, str):
-        setting = InequalityId(setting)
-    if isinstance(setting, InequalityId):
-        setting = InequalitySetting(id=setting)
+    setting = _as_setting(setting)
     plan = _plan_triple(setting) if setting.triple is not None else None
     for idx in range(budget):
         rho, a, b = _draw_sample(seed, dim, idx, delta)
-        ctx = _make_context(rho, a, b)
         params = _resolve_params(setting, idx, seed, dim, 0)
-        lhs, rhs, extra = _evaluate(setting, ctx, params, plan)
-        margin = lhs - rhs
-        if not _passes(margin, lhs, rhs, slack):
-            return SampleRecord(
-                inequality=setting.id,
-                dim=dim,
-                index=idx,
-                lhs=lhs,
-                rhs=rhs,
-                margin=margin,
-                passed=False,
-                params={**params, **extra},
-                state=np.asarray(rho),
-                obs_a=np.asarray(a),
-                obs_b=np.asarray(b),
-            )
+        record = _evaluate_one(setting, plan, rho, a, b, params, slack, idx)
+        if not record.passed:
+            return record
     return None

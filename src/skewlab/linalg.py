@@ -25,6 +25,10 @@ __all__ = [
     "commutator",
     "anticommutator",
     "hermitian_eigen",
+    "hermitian_stack",
+    "density_stack",
+    "eigh_stack",
+    "element_tables",
     "apply_scalar_function",
     "center_observable",
     "element_table",
@@ -62,9 +66,25 @@ def _as_square_complex(entries) -> np.ndarray:
     a = np.asarray(entries, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    _require_finite(a)
+    return a
+
+
+def _require_finite(a: np.ndarray) -> None:
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise ValueError("matrix entries must be finite")
-    return a
+
+
+def _dagger(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of every matrix in a stack [..., n, n]."""
+    return np.swapaxes(a, -1, -2).conj()
+
+
+def _norms(a: np.ndarray) -> np.ndarray:
+    """Frobenius norm of every matrix in a stack of float64 or complex128
+    matrices, summed over a real view of the entries."""
+    flat = np.ascontiguousarray(a).view(np.float64).reshape(*a.shape[:-2], -1)
+    return np.sqrt(np.einsum("...i,...i->...", flat, flat))
 
 
 def _require_same_shape(x: np.ndarray, y: np.ndarray) -> None:
@@ -129,13 +149,7 @@ class HermitianMatrix:
     """
 
     def __init__(self, entries, tol: Tolerances = DEFAULT_TOLERANCES):
-        a = _as_square_complex(entries)
-        asym = float(np.linalg.norm(a - a.conj().T))
-        if asym > tol.hermitian_asymmetry * max(1.0, float(np.linalg.norm(a))):
-            raise ValueError(
-                f"input is not self-adjoint: asymmetry {asym:.3e} exceeds threshold"
-            )
-        h = (a + a.conj().T) / 2
+        h = _hermitian_part(_as_square_complex(entries), tol)
         h.flags.writeable = False
         self.entries = h
         self.dim = h.shape[0]
@@ -152,15 +166,57 @@ class DensityMatrix(HermitianMatrix):
 
     def __init__(self, entries, tol: Tolerances = DEFAULT_TOLERANCES):
         super().__init__(entries, tol=tol)
-        tr = float(np.trace(self.entries).real)
-        if abs(tr - 1.0) > tol.trace_one:
-            raise ValueError(f"trace must be 1, got {tr!r}")
-        lam_min = float(np.linalg.eigvalsh(self.entries)[0])
-        if lam_min < tol.positivity_floor:
-            raise ValueError(
-                f"state is not strictly positive: smallest eigenvalue "
-                f"{lam_min:.3e} is below the floor {tol.positivity_floor:.1e}"
-            )
+        _check_trace_one(self.entries, tol)
+        _check_positive(np.linalg.eigvalsh(self.entries)[0], tol)
+
+
+def _hermitian_part(a: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """(A + A†)/2 of every matrix in a stack; rejects any whose asymmetry
+    exceeds the threshold, so non-Hermitian data is not silently averaged."""
+    ah = _dagger(a)
+    asym = _norms(a - ah)
+    bad = asym > tol.hermitian_asymmetry * np.maximum(1.0, _norms(a))
+    if bad.any():
+        raise ValueError(
+            f"input is not self-adjoint: asymmetry {asym[bad].flat[0]:.3e} "
+            "exceeds threshold"
+        )
+    return (a + ah) / 2
+
+
+def _check_trace_one(a: np.ndarray, tol: Tolerances) -> None:
+    tr = np.trace(a, axis1=-2, axis2=-1).real
+    bad = np.abs(tr - 1.0) > tol.trace_one
+    if bad.any():
+        raise ValueError(f"trace must be 1, got {float(tr[bad].flat[0])!r}")
+
+
+def _check_positive(lam_min, tol: Tolerances) -> None:
+    lam_min = np.asarray(lam_min)
+    bad = lam_min < tol.positivity_floor
+    if bad.any():
+        raise ValueError(
+            f"state is not strictly positive: smallest eigenvalue "
+            f"{float(lam_min[bad].flat[0]):.3e} is below the floor "
+            f"{tol.positivity_floor:.1e}"
+        )
+
+
+def hermitian_stack(entries: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+    """Validate a stack [S, n, n] of observables as ``HermitianMatrix`` does
+    one, and return the symmetrized stack."""
+    a = np.asarray(entries, dtype=complex)
+    _require_finite(a)
+    return _hermitian_part(a, tol)
+
+
+def density_stack(entries: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+    """Validate a stack [S, n, n] of states as ``DensityMatrix`` does one,
+    except for the positivity floor, which ``eigh_stack(..., density=True)``
+    checks on the spectrum it computes anyway."""
+    rho = hermitian_stack(entries, tol)
+    _check_trace_one(rho, tol)
+    return rho
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,34 +246,49 @@ def hermitian_eigen(
     Raises EigenDecompositionError when LAPACK fails to converge or when the
     reconstruction/orthonormality residuals exceed their thresholds.
     """
-    m = a.entries
-    n = a.dim
+    w, v = eigh_stack(a.entries[None], tol, density=isinstance(a, DensityMatrix))
+    w, v = w[0], v[0]
+    w.flags.writeable = False
+    v.flags.writeable = False
+    return SpectralDecomposition(eigenvalues=w, vectors=v, source=a)
+
+
+def eigh_stack(
+    m: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES, *, density: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues [S, n] (descending) and eigenvectors [S, n, n] of a stack
+    of Hermitian matrices, with the checks of ``hermitian_eigen``.
+
+    With ``density`` the stack holds states: their eigenvalues must sum to 1
+    and the smallest must clear the positivity floor (ValueError, as in
+    ``DensityMatrix``).
+    """
+    n = m.shape[-1]
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise EigenDecompositionError(f"eigensolver did not converge: {exc}") from exc
-    w = np.ascontiguousarray(w[::-1])
-    v = np.ascontiguousarray(v[:, ::-1])
-    norm_a = float(np.linalg.norm(m))
-    resid = float(np.linalg.norm(m - (v * w) @ v.conj().T))
-    if resid > tol.reconstruction * n * max(norm_a, 1e-300):
+    w = np.ascontiguousarray(w[..., ::-1])
+    v = np.ascontiguousarray(v[..., ::-1])
+    if density:
+        _check_positive(w[..., -1], tol)
+    resid = _norms(m - (v * w[..., None, :]) @ _dagger(v))
+    if (resid > tol.reconstruction * n * np.maximum(_norms(m), 1e-300)).any():
         raise EigenDecompositionError(
-            f"reconstruction residual {resid:.3e} exceeds "
+            f"reconstruction residual {resid.max():.3e} exceeds "
             f"{tol.reconstruction:.1e} * n * ||A||"
         )
-    ortho = float(np.linalg.norm(v.conj().T @ v - np.eye(n)))
-    if ortho > tol.orthonormality * n:
+    ortho = _norms(_dagger(v) @ v - np.eye(n))
+    if (ortho > tol.orthonormality * n).any():
         raise EigenDecompositionError(
-            f"eigenvector orthonormality residual {ortho:.3e} too large"
+            f"eigenvector orthonormality residual {ortho.max():.3e} too large"
         )
-    if isinstance(a, DensityMatrix):
-        if abs(float(w.sum()) - 1.0) > tol.eigenvalue_sum:
+    if density:
+        if (np.abs(w.sum(axis=-1) - 1.0) > tol.eigenvalue_sum).any():
             raise EigenDecompositionError("density eigenvalues do not sum to 1")
-        if w[-1] <= 0.0:
+        if (w[..., -1] <= 0.0).any():
             raise EigenDecompositionError("density matrix lost strict positivity")
-    w.flags.writeable = False
-    v.flags.writeable = False
-    return SpectralDecomposition(eigenvalues=w, vectors=v, source=a)
+    return w, v
 
 
 def apply_scalar_function(
@@ -272,15 +343,30 @@ def element_table(
     """Transform an observable into the eigenbasis of the decomposed state."""
     if h.dim != decomp.dim:
         raise ValueError(f"dimension mismatch: {h.dim} vs {decomp.dim}")
-    v = decomp.vectors
-    t = v.conj().T @ h.entries @ v
-    mean = float(np.sum(decomp.eigenvalues * np.diag(t).real))
-    t = t - mean * np.eye(decomp.dim)
-    asym = float(np.max(np.abs(t - t.conj().T)))
-    if asym > tol.element_symmetry * max(1.0, float(np.linalg.norm(t))):
-        raise ValueError(f"element table lost conjugate symmetry: {asym:.3e}")
+    t, mean = element_tables(decomp.eigenvalues[None], decomp.vectors[None],
+                             h.entries[None], tol)
+    t = t[0]
     t.flags.writeable = False
-    return MatrixElementTable(entries=t, expectation=mean)
+    return MatrixElementTable(entries=t, expectation=float(mean[0]))
+
+
+def element_tables(
+    lam: np.ndarray,
+    v: np.ndarray,
+    h: np.ndarray,
+    tol: Tolerances = DEFAULT_TOLERANCES,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Centered observables [S, n, n] in the eigenbases ``v`` of a stack of
+    states with eigenvalues ``lam``, and their expectations [S]; each table
+    must stay conjugate-symmetric, as ``element_table`` requires."""
+    t = _dagger(v) @ h @ v
+    mean = np.sum(lam * np.diagonal(t, axis1=-2, axis2=-1).real, axis=-1)
+    t = t - mean[:, None, None] * np.eye(lam.shape[-1])
+    asym = np.max(np.abs(t - _dagger(t)), axis=(-2, -1))
+    bad = asym > tol.element_symmetry * np.maximum(1.0, _norms(t))
+    if bad.any():
+        raise ValueError(f"element table lost conjugate symmetry: {asym[bad][0]:.3e}")
+    return t, mean
 
 
 def matrix_to_json(a) -> dict:

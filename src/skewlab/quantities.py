@@ -4,6 +4,11 @@ in the state eigenbasis, and explicit eigenvalue-pair sums.
 Every family shares one spectral decomposition of the state; callers that
 evaluate several families on the same (state, observable) pair can pass the
 decomposition explicitly to avoid repeating it.
+
+The trace formulas work on the eigenvalues ``lam[..., n]``, the squared
+moduli ``w[..., n, n]`` of the centered observable's elements and their row
+sums ``row[..., n]``; any leading axes are batch axes, so the campaign
+harness evaluates a whole block of samples with the same formulas.
 """
 
 from __future__ import annotations
@@ -96,23 +101,83 @@ def _pair_data(
     rho: DensityMatrix,
     h: HermitianMatrix,
     decomp: SpectralDecomposition | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of rho and squared moduli of the centered observable's
-    elements in rho's eigenbasis."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues of rho, squared moduli of the centered observable's
+    elements in rho's eigenbasis, and their row sums."""
     if decomp is None:
         decomp = hermitian_eigen(rho)
-    table = element_table(decomp, h)
-    return decomp.eigenvalues, table.weights
+    w = element_table(decomp, h).weights
+    return decomp.eigenvalues, w, w.sum(axis=-1)
 
 
-def _total(lam: np.ndarray, w: np.ndarray) -> float:
-    """Tr[rho H0^2] from the eigenbasis weights."""
-    return float(lam @ w.sum(axis=1))
+def _powers(lam: np.ndarray, s) -> np.ndarray:
+    """lam**s with one exponent per batch entry (or one for all)."""
+    return lam ** np.asarray(s, dtype=float)[..., None]
 
 
-def _exchange(lam: np.ndarray, w: np.ndarray, s: float) -> float:
+def _bilinear(x: np.ndarray, w: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ w @ y over the batch axes."""
+    return (x[..., None, :] @ w @ y[..., :, None])[..., 0, 0]
+
+
+def _total(lam: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """Tr[rho H0^2] from the eigenbasis weights' row sums."""
+    return np.sum(lam * row, axis=-1)
+
+
+def _exchange(lam: np.ndarray, w: np.ndarray, s) -> np.ndarray:
     """Tr[rho^s H0 rho^(1-s) H0]."""
-    return float(lam**s @ w @ lam ** (1.0 - s))
+    s = np.asarray(s, dtype=float)
+    return _bilinear(_powers(lam, s), w, _powers(lam, 1.0 - s))
+
+
+def _wyd_ij(lam, w, row, alpha):
+    """(I, J) of the one-parameter family."""
+    t0 = _total(lam, row)
+    ex = _exchange(lam, w, alpha)
+    return t0 - ex, t0 + ex
+
+
+def _gwyd_ij(lam, w, row, alpha, beta):
+    """(I, J) of the two-parameter family.
+
+    I is the pair sum 1/2 sum_ij w_ij lam_i^(1-a-b) (lam_i^a - lam_j^a)
+    (lam_i^b - lam_j^b), with each difference taken as
+    lam_j^a expm1(a (ln lam_i - ln lam_j)). Every term is nonnegative, so
+    nothing cancels when a*b is small, unlike the equal trace form
+    (t0 + e_ab - e_a - e_b) / 2. J has no cancellation.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    s = alpha + beta
+    log_lam = np.log(lam)
+    gap = log_lam[..., :, None] - log_lam[..., None, :]
+    a, b = alpha[..., None, None], beta[..., None, None]
+    scale = _powers(lam, 1.0 - s)[..., :, None] * _powers(lam, s)[..., None, :]
+    i_val = 0.5 * np.sum(w * scale * np.expm1(a * gap) * np.expm1(b * gap), axis=(-2, -1))
+    t0 = _total(lam, row)
+    j_val = 0.5 * (
+        t0 + _exchange(lam, w, s) + _exchange(lam, w, alpha) + _exchange(lam, w, beta)
+    )
+    return i_val, j_val
+
+
+def _tilde_ij(lam, w, row, alpha, beta):
+    """(I, J) of the second two-parameter family."""
+    t_s = np.sum(_powers(lam, np.asarray(alpha) + np.asarray(beta)) * row, axis=-1)
+    ex = _bilinear(_powers(lam, alpha), w, _powers(lam, beta))
+    return t_s - ex, t_s + ex
+
+
+def _triple_values(triple: FunctionTriple, lam: np.ndarray):
+    return tuple(np.asarray(fn.value(lam), dtype=float) for fn in (triple.f, triple.g, triple.h))
+
+
+def _fgh_ij(w, row, fv, gv, hv):
+    """(I, J) of the (f, g, h) family from the function values on the spectrum."""
+    t12 = np.sum(fv * gv * hv * row, axis=-1) + _bilinear(fv * gv, w, hv)
+    t34 = _bilinear(fv, w, gv * hv) + _bilinear(gv, w, fv * hv)
+    return 0.5 * t12 - 0.5 * t34, 0.5 * t12 + 0.5 * t34
 
 
 def variance(rho: DensityMatrix, h: HermitianMatrix) -> float:
@@ -146,8 +211,9 @@ def wy_skew(
     Vanishes exactly when the state and the observable commute, and never
     exceeds the variance.
     """
-    lam, w = _pair_data(rho, h, decomp)
-    return _clamped(_total(lam, w) - _exchange(lam, w, 0.5), "skew information")
+    lam, w, row = _pair_data(rho, h, decomp)
+    i_val, _ = _wyd_ij(lam, w, row, 0.5)
+    return _clamped(float(i_val), "skew information")
 
 
 def wyd_family(
@@ -163,11 +229,11 @@ def wyd_family(
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    lam, w = _pair_data(rho, h, decomp)
-    t0 = _total(lam, w)
-    ex = _exchange(lam, w, alpha)
-    i_val = _clamped(t0 - ex, "skew information")
-    j_val = _clamped(t0 + ex, "anti-commutator part")
+    lam, w, row = _pair_data(rho, h, decomp)
+    t0 = float(_total(lam, row))
+    i_raw, j_raw = _wyd_ij(lam, w, row, alpha)
+    i_val = _clamped(float(i_raw), "skew information")
+    j_val = _clamped(float(j_raw), "anti-commutator part")
     u_val = math.sqrt(i_val * j_val)
     u_var = math.sqrt(max(t0**2 - (t0 - i_val) ** 2, 0.0))
     # compared on the radicand scale V^2: the variance form cancels
@@ -201,20 +267,17 @@ def gwyd_family(
     """
     if alpha < 0.0 or beta < 0.0:
         raise ValueError(f"exponents must be nonnegative, got ({alpha}, {beta})")
-    lam, w = _pair_data(rho, h, decomp)
-    t0 = _total(lam, w)
-    e_ab = _exchange(lam, w, alpha + beta)
-    e_a = _exchange(lam, w, alpha)
-    e_b = _exchange(lam, w, beta)
-    i_val = _clamped(0.5 * (t0 + e_ab - e_a - e_b), "skew information")
-    j_val = _clamped(0.5 * (t0 + e_ab + e_a + e_b), "anti-commutator part")
+    lam, w, row = _pair_data(rho, h, decomp)
+    i_raw, j_raw = _gwyd_ij(lam, w, row, alpha, beta)
+    i_val = _clamped(float(i_raw), "skew information")
+    j_val = _clamped(float(j_raw), "anti-commutator part")
     return QuantityBundle(
         family="GWYD",
         params={"alpha": alpha, "beta": beta},
         I=i_val,
         J=j_val,
         U=math.sqrt(i_val * j_val),
-        V=t0,
+        V=float(_total(lam, row)),
         path="trace_formula",
     )
 
@@ -230,34 +293,19 @@ def gwyd_tilde_family(
     remaining state weight is rho^(alpha+beta)."""
     if alpha < 0.0 or beta < 0.0:
         raise ValueError(f"exponents must be nonnegative, got ({alpha}, {beta})")
-    lam, w = _pair_data(rho, h, decomp)
-    t_s = float(lam ** (alpha + beta) @ w.sum(axis=1))
-    ex = float(lam**alpha @ w @ lam**beta)
-    i_val = _clamped(t_s - ex, "skew information")
-    j_val = _clamped(t_s + ex, "anti-commutator part")
+    lam, w, row = _pair_data(rho, h, decomp)
+    i_raw, j_raw = _tilde_ij(lam, w, row, alpha, beta)
+    i_val = _clamped(float(i_raw), "skew information")
+    j_val = _clamped(float(j_raw), "anti-commutator part")
     return QuantityBundle(
         family="GWYD_TILDE",
         params={"alpha": alpha, "beta": beta},
         I=i_val,
         J=j_val,
         U=math.sqrt(i_val * j_val),
-        V=_total(lam, w),
+        V=float(_total(lam, row)),
         path="trace_formula",
     )
-
-
-def _fgh_terms(
-    lam: np.ndarray, w: np.ndarray, triple: FunctionTriple
-) -> tuple[float, float, float, float, np.ndarray, np.ndarray, np.ndarray]:
-    fv = np.asarray(triple.f.value(lam), dtype=float)
-    gv = np.asarray(triple.g.value(lam), dtype=float)
-    hv = np.asarray(triple.h.value(lam), dtype=float)
-    row = w.sum(axis=1)
-    t1 = float((fv * gv * hv) @ row)
-    t2 = float((fv * gv) @ w @ hv)
-    t3 = float(fv @ w @ (gv * hv))
-    t4 = float(gv @ w @ (fv * hv))
-    return t1, t2, t3, t4, fv, gv, hv
 
 
 def fgh_family(
@@ -280,18 +328,17 @@ def fgh_family(
             f"smallest eigenvalue {float(lam[-1]):.3e} does not clear the "
             f"triple's domain floor {triple.eps:.1e}"
         )
-    table = element_table(decomp, h_obs)
-    w = table.weights
-    t1, t2, t3, t4, _, _, _ = _fgh_terms(lam, w, triple)
-    i_val = _clamped(0.5 * (t1 + t2) - 0.5 * (t3 + t4), "skew information")
-    j_val = _clamped(0.5 * (t1 + t2) + 0.5 * (t3 + t4), "anti-commutator part")
+    _, w, row = _pair_data(rho, h_obs, decomp)
+    i_raw, j_raw = _fgh_ij(w, row, *_triple_values(triple, lam))
+    i_val = _clamped(float(i_raw), "skew information")
+    j_val = _clamped(float(j_raw), "anti-commutator part")
     return QuantityBundle(
         family="FGH",
         params={"triple": triple_to_spec(triple)},
         I=i_val,
         J=j_val,
         U=math.sqrt(i_val * j_val),
-        V=_total(lam, w),
+        V=float(_total(lam, row)),
         path="trace_formula",
     )
 
@@ -316,9 +363,7 @@ def fgh_eigensum(
     if float(lam[-1]) <= triple.eps:
         raise DomainError("smallest eigenvalue below the triple's domain floor")
     w = table.weights
-    fv = np.asarray(triple.f.value(lam), dtype=float)
-    gv = np.asarray(triple.g.value(lam), dtype=float)
-    hv = np.asarray(triple.h.value(lam), dtype=float)
+    fv, gv, hv = _triple_values(triple, lam)
     n = lam.shape[0]
     i_idx, j_idx = np.triu_indices(n, k=1)
     wij = w[i_idx, j_idx]
@@ -340,9 +385,10 @@ def luo_u(
 ) -> float:
     """sqrt(V^2 - (V - I)^2) with the square-root skew information; sits
     between the skew information and the variance."""
-    lam, w = _pair_data(rho, h, decomp)
-    v = _total(lam, w)
-    i_val = _clamped(v - _exchange(lam, w, 0.5), "skew information")
+    lam, w, row = _pair_data(rho, h, decomp)
+    v = float(_total(lam, row))
+    i_raw, _ = _wyd_ij(lam, w, row, 0.5)
+    i_val = _clamped(float(i_raw), "skew information")
     radicand = v**2 - (v - i_val) ** 2
     if radicand < -1e-12:
         raise ValueError(f"negative radicand {radicand!r}")

@@ -1,9 +1,14 @@
 """Command-line interface tests: exit codes, printed values, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import skewlab
 from skewlab.cli import load_default_config, main
 
 QUARTER = json.dumps({
@@ -81,6 +86,17 @@ class TestVerify:
         lines = out_path.read_text().splitlines()
         assert lines[0] == "id,n,lhs,rhs,margin,pass"
         assert len(lines) == 1 + 2 * 20
+
+    def test_triple_floor_above_sampled_spectrum_exit_two(self, tmp_path, capsys):
+        # sampled eigenvalues are only guaranteed >= delta / n = 1e-6 / 3
+        doc = {
+            "seed": 42, "dims": [3], "samples_per_dim": 300, "delta": 1e-6,
+            "inequalities": [{"id": "THM31_FGH", "triple": dict(json.loads(QUARTER), eps=1e-3)}],
+        }
+        assert main(["verify", write_config(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert "domain floor" in captured.err
 
     def test_missing_file_exit_two(self):
         assert main(["verify", "/nonexistent/config.json"]) == 2
@@ -220,6 +236,18 @@ class TestCounterexample:
         assert main(args) == 0
         second = capsys.readouterr().out
         assert first == second
+
+
+@pytest.mark.parametrize("module", ["skewlab", "skewlab.cli"])
+def test_python_dash_m_runs_cli(module):
+    src = str(Path(skewlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "beta", "--triple", QUARTER, "--grid", "200"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(parsed_values(proc.stdout)["beta"]) == pytest.approx(0.0625)
 
 
 class TestUsage:

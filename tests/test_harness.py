@@ -6,11 +6,15 @@ import numpy as np
 import pytest
 
 from skewlab.harness import (
+    _PARAM_SALT,
     CampaignConfig,
     ConfigError,
     InequalityId,
     InequalitySetting,
+    _draw_block,
+    _draw_sample,
     _matrix_rng,
+    _param_draws,
     _resolve_params,
     config_from_dict,
     evaluate_inequality,
@@ -21,7 +25,7 @@ from skewlab.harness import (
     search_counterexample,
 )
 from skewlab.functions import Const, FunctionTriple, Power
-from skewlab.linalg import DensityMatrix, HermitianMatrix
+from skewlab.linalg import DensityMatrix, DomainError, HermitianMatrix
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -65,6 +69,15 @@ class TestSamplers:
         r1 = sample_density(4, _matrix_rng(7, 4, 0), 1e-3)
         r2 = sample_density(4, _matrix_rng(7, 4, 0), 1e-3)
         assert np.array_equal(r1.entries, r2.entries)
+
+    def test_block_draws_match_per_sample_streams(self):
+        indices = np.array([0, 3, 2**40 + 1])
+        for dim in (2, 5):
+            stacks = _draw_block(7, dim, indices, 1e-3)
+            for k, index in enumerate(indices.tolist()):
+                one = _draw_sample(7, dim, index, 1e-3)
+                for stack, m in zip(stacks, one):
+                    assert np.array_equal(stack[k], m.entries)
 
     def test_distinct_seeds_distinct_matrices(self):
         r1 = sample_density(4, _matrix_rng(7, 4, 0), 1e-3)
@@ -150,6 +163,17 @@ class TestEvaluate:
                 HermitianMatrix(SY),
             )
 
+    def test_fgh_rejects_spectrum_below_domain_floor(self):
+        # smallest eigenvalue 5e-7 clears the state floor, not the triple's 1e-6
+        rho = DensityMatrix(np.diag([1.0 - 5e-7, 5e-7]))
+        with pytest.raises(DomainError, match="domain floor"):
+            evaluate_inequality(
+                InequalitySetting(id=InequalityId.THM31_FGH, triple=QUARTER_TRIPLE),
+                rho,
+                HermitianMatrix(SX),
+                HermitianMatrix(SY),
+            )
+
     def test_thm31_qubit_passes(self):
         rho = DensityMatrix(np.diag([0.75, 0.25]))
         rec = evaluate_inequality(
@@ -214,6 +238,19 @@ class TestParamResolution:
         ]
         assert vals == [0.1, 0.2, 0.3, 0.1, 0.2, 0.3]
 
+    def test_vectorized_philox_matches_numpy(self):
+        # keys with the top bits of every field set
+        for seed, dim, ordinal in ((2**64 - 12345, 4095, 255), (7, 2, 0)):
+            indices = np.array([0, 1, 17, 2**40 + 3, 2**44 - 1])
+            got = _param_draws(seed, dim, indices, ordinal)
+            for row, index in zip(got, indices.tolist()):
+                key = np.array(
+                    [seed ^ _PARAM_SALT, (ordinal << 56) | (dim << 44) | index],
+                    dtype=np.uint64,
+                )
+                want = np.random.Generator(np.random.Philox(key=key)).random(4)
+                assert np.array_equal(row, want)
+
     def test_param_draws_schedule_independent(self):
         setting = InequalitySetting(id=InequalityId.THM21_WYD)
         a1 = _resolve_params(setting, 17, seed=9, dim=3, ordinal=2)
@@ -248,6 +285,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="misses"):
             config_from_dict({"seed": 1, "dims": [2], "samples_per_dim": 1,
                               "inequalities": [{"id": "THM31_FGH"}]})
+
+    def test_triple_floor_above_sampled_spectrum_rejected(self):
+        # delta / n = 1e-6 / 3 bounds the sampled eigenvalues, below eps = 1e-3
+        with pytest.raises(ConfigError, match="domain floor"):
+            config_from_dict({
+                "seed": 1, "dims": [3], "samples_per_dim": 1, "delta": 1e-6,
+                "inequalities": [{"id": "COR41_PAIR", "f": {"kind": "power", "p": 0.5},
+                                  "g": {"kind": "power", "p": 0.25}, "eps": 1e-3}],
+            })
 
     def test_delta_range(self):
         with pytest.raises(ConfigError, match="delta"):

@@ -204,6 +204,33 @@ class TestGwydFamily:
         with pytest.raises(ValueError, match="nonnegative"):
             gwyd_family(rho, HermitianMatrix(SX), -0.1, 0.5)
 
+    @pytest.mark.parametrize("regime", ["small", "sum_above_one"])
+    def test_skew_matches_high_precision_pair_sum(self, regime):
+        # I = 1/2 sum_ij w_ij l_i^(1-a-b) (l_i^a - l_j^a)(l_i^b - l_j^b),
+        # summed at 50 digits from the same eigenvalues and weights
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            n = int(rng.integers(2, 7))
+            rho = random_density(n, rng)
+            h = random_hermitian(n, rng)
+            if regime == "small":
+                alpha, beta = 10.0 ** rng.uniform(-6, -1, 2)
+            else:
+                alpha, beta = rng.uniform(0.5, 1.0, 2)
+            decomp = hermitian_eigen(rho)
+            lam = [mpmath.mpf(x) for x in decomp.eigenvalues]
+            w = element_table(decomp, h).weights
+            a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+            ref = sum(
+                mpmath.mpf(w[i, j]) * lam[i] ** (1 - a - b)
+                * (lam[i] ** a - lam[j] ** a) * (lam[i] ** b - lam[j] ** b)
+                for i in range(n) for j in range(n)
+            ) / 2
+            got = gwyd_family(rho, h, alpha, beta, decomp=decomp).I
+            assert abs(got - ref) <= 1e-12 * abs(ref), (n, alpha, beta)
+
     def test_matches_power_triple_path(self):
         rng = np.random.default_rng(11)
         rho = random_density(2, rng)
