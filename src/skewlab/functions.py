@@ -50,6 +50,7 @@ __all__ = [
 DEFAULT_EPS = 1e-6
 RATIO_GRID = 10_000   # grid for inf/sup of log-derivative ratios
 PAIR_GRID = 512       # grid for the pairwise sign / divided-difference checks
+_PAIR_BLOCK = 1 << 16  # grid pairs evaluated at once by the pairwise scans
 
 
 class ScalarFunction:
@@ -339,36 +340,35 @@ def _ratio_extrema(f: ScalarFunction, g: ScalarFunction, k: int) -> tuple[float,
 
 
 def _pair_condition(fv: np.ndarray, gv: np.ndarray, sign: int, tol: float = 1e-12) -> bool:
-    """True when sign * (f(x)-f(y)) * (g(x)-g(y)) >= -tol for every grid pair."""
+    """True when sign * (f(x)-f(y)) * (g(x)-g(y)) >= -tol for every grid pair.
+
+    Exact pass first, in O(n log n): sort by f and demand that sign * g be
+    ordered block by block; ties in f contribute zero products and are grouped
+    into blocks. If that fails, the pair at the two ends of the f order is
+    tried as a witness, and only then is the tolerance applied pairwise.
+    """
     n = fv.size
-    if n <= 2048:
-        prod = sign * (fv[:, None] - fv[None, :]) * (gv[:, None] - gv[None, :])
-        return float(prod.min()) >= -tol
-    # Exact pass on large grids: sort by f and demand block-wise ordering of g;
-    # ties in f contribute zero products and are grouped into blocks.
+    if not (np.isfinite(fv).all() and np.isfinite(gv).all()):
+        return False    # an inf or NaN makes some product NaN, which fails the test
     order = np.argsort(fv, kind="mergesort")
     fs = fv[order]
     gs = sign * gv[order]
-    boundary = np.empty(n, dtype=bool)
-    boundary[0] = True
-    boundary[1:] = fs[1:] > fs[:-1]
-    block = np.cumsum(boundary) - 1
-    nb = int(block[-1]) + 1
-    bmax = np.full(nb, -np.inf)
-    np.maximum.at(bmax, block, gs)
-    bmin = np.full(nb, np.inf)
-    np.minimum.at(bmin, block, gs)
+    starts = np.flatnonzero(np.concatenate(([True], fs[1:] > fs[:-1])))
+    bmax = np.maximum.reduceat(gs, starts)
+    bmin = np.minimum.reduceat(gs, starts)
     if np.all(bmin[1:] >= np.maximum.accumulate(bmax)[:-1]):
         return True
-    # Borderline: apply the product tolerance pairwise, in chunks.
-    step = max(1, (1 << 22) // n)
+    if sign * (fs[-1] - fs[0]) * (gv[order[-1]] - gv[order[0]]) < -tol:
+        return False
+    # Borderline: apply the product tolerance pairwise, in row blocks.
+    step = max(1, _PAIR_BLOCK // n)
     for lo in range(0, n, step):
         prod = (
             sign
             * (fv[lo : lo + step, None] - fv[None, :])
             * (gv[lo : lo + step, None] - gv[None, :])
         )
-        if float(prod.min()) < -tol:
+        if not float(prod.min()) >= -tol:
             return False
     return True
 
@@ -532,30 +532,48 @@ class LScanResult:
 
 def l_scan_min(triple: FunctionTriple, k: int = 200) -> LScanResult:
     """Minimum of the two-point ratio over all off-diagonal pairs of a
-    k-point grid on [eps, 1], with the argmin pair."""
+    k-point grid on [eps, 1], with the argmin pair.
+
+    The ratio is symmetric in (x, y) bit for bit, so only the pairs i < j are
+    evaluated, a block of rows at a time: O(k^2) time in O(k) memory. The
+    argmin is the first pair in row-major order, which always has i < j; if
+    every pair is excluded the result is (inf, grid[0], grid[0]). A NaN ratio
+    (0/0, e.g. h == 0) is returned as the minimum, as ``np.argmin`` would.
+    """
     if k < 2:
         raise ValueError("scan grid needs at least 2 points")
     grid = np.linspace(triple.eps, 1.0, k)
     fv = np.asarray(triple.f.value(grid), dtype=float)
     gv = np.asarray(triple.g.value(grid), dtype=float)
     hv = np.asarray(triple.h.value(grid), dtype=float)
-    num = (
-        (fv[:, None] ** 2 - fv[None, :] ** 2)
-        * (gv[:, None] ** 2 - gv[None, :] ** 2)
-        * (hv[:, None] + hv[None, :]) ** 2
-    )
-    prod = fv * gv * hv
-    den = prod[:, None] - prod[None, :]
-    bad = np.abs(den) < 1e-14 * np.sqrt(np.abs(num))
-    np.fill_diagonal(bad, True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = np.where(bad, np.inf, num / np.where(bad, 1.0, den) ** 2)
-    flat = int(np.argmin(values))
-    i, j = divmod(flat, k)
+    f2, g2, prod = fv**2, gv**2, fv * gv * hv
+    best, arg_i, arg_j = math.inf, 0, 0
+    rows = max(1, _PAIR_BLOCK // k)
+    for lo in range(0, k - 1, rows):
+        hi = min(lo + rows, k - 1)
+        r, c = slice(lo, hi), slice(lo + 1, k)   # pairs with j <= i are masked
+        values = np.subtract.outer(f2[r], f2[c])  # becomes num, then num / den^2
+        values *= np.subtract.outer(g2[r], g2[c])
+        scratch = np.square(np.add.outer(hv[r], hv[c]))
+        values *= scratch
+        den = np.subtract.outer(prod[r], prod[c])
+        np.sqrt(np.abs(values, out=scratch), out=scratch)
+        bad = np.abs(den) < np.multiply(1e-14, scratch, out=scratch)
+        bad |= np.arange(lo + 1, k) <= np.arange(lo, hi)[:, None]
+        den[bad] = 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            values /= np.square(den, out=den)
+        values[bad] = np.inf
+        i, j = divmod(int(np.argmin(values)), values.shape[1])
+        value = float(values[i, j])
+        if value < best or math.isnan(value):
+            best, arg_i, arg_j = value, lo + i, lo + 1 + j
+            if math.isnan(value):
+                break
     return LScanResult(
-        min_value=float(values[i, j]),
-        arg_x=float(grid[i]),
-        arg_y=float(grid[j]),
+        min_value=best,
+        arg_x=float(grid[arg_i]),
+        arg_y=float(grid[arg_j]),
         grid_size=k,
     )
 

@@ -144,9 +144,13 @@ class InequalitySetting:
         if ineq in (InequalityId.THM31_FGH, InequalityId.COR41_PAIR):
             if self.triple is None:
                 raise ConfigError(f"{ineq.value} requires functions to evaluate")
+        if ineq in (InequalityId.THM22_GWYD, InequalityId.THM23_TILDE):
+            # a pair is either fixed whole or drawn whole; half of one would be ignored
+            if (self.alpha is None) != (self.beta is None) or isinstance(self.alpha, tuple):
+                raise ConfigError(
+                    f"fixed {ineq.value} parameters need scalar alpha and beta, set together"
+                )
         if ineq is InequalityId.THM22_GWYD and self.alpha is not None:
-            if self.beta is None or not isinstance(self.alpha, float):
-                raise ConfigError("fixed THM22 parameters need scalar alpha and beta")
             _check_thm22_regime(self.alpha, self.beta)
 
     @property

@@ -17,9 +17,6 @@ __all__ = [
     "SpectralDecomposition",
     "MatrixElementTable",
     "adjoint",
-    "matmul",
-    "add",
-    "scale",
     "trace",
     "frobenius_norm",
     "commutator",
@@ -97,25 +94,6 @@ def adjoint(a) -> np.ndarray:
     return np.asarray(a, dtype=complex).conj().T
 
 
-def matmul(x, y) -> np.ndarray:
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    if x.shape[-1] != y.shape[0]:
-        raise ValueError(f"dimension mismatch: {x.shape} @ {y.shape}")
-    return x @ y
-
-
-def add(x, y) -> np.ndarray:
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    _require_same_shape(x, y)
-    return x + y
-
-
-def scale(c, x) -> np.ndarray:
-    return complex(c) * np.asarray(x, dtype=complex)
-
-
 def trace(a) -> complex:
     return complex(np.trace(np.asarray(a)))
 
@@ -153,6 +131,7 @@ class HermitianMatrix:
         h.flags.writeable = False
         self.entries = h
         self.dim = h.shape[0]
+        self._decompositions: dict[Tolerances, SpectralDecomposition] = {}
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.entries, dtype=dtype)
@@ -245,12 +224,21 @@ def hermitian_eigen(
 
     Raises EigenDecompositionError when LAPACK fails to converge or when the
     reconstruction/orthonormality residuals exceed their thresholds.
+
+    The checked result is cached on ``a``, per ``tol``: the entries are
+    read-only, so later calls on the same object return the same
+    decomposition without decomposing again.
     """
+    cached = a._decompositions.get(tol)
+    if cached is not None:
+        return cached
     w, v = eigh_stack(a.entries[None], tol, density=isinstance(a, DensityMatrix))
     w, v = w[0], v[0]
     w.flags.writeable = False
     v.flags.writeable = False
-    return SpectralDecomposition(eigenvalues=w, vectors=v, source=a)
+    decomp = SpectralDecomposition(eigenvalues=w, vectors=v, source=a)
+    a._decompositions[tol] = decomp
+    return decomp
 
 
 def eigh_stack(

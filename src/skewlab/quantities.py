@@ -1,9 +1,10 @@
 """Skew-information families evaluated two independent ways: trace formulas
 in the state eigenbasis, and explicit eigenvalue-pair sums.
 
-Every family shares one spectral decomposition of the state; callers that
-evaluate several families on the same (state, observable) pair can pass the
-decomposition explicitly to avoid repeating it.
+Every family shares one spectral decomposition of the state:
+``hermitian_eigen`` caches its checked result on the state object, so
+evaluating several families on one state decomposes it once. An explicit
+``decomp`` argument is used instead of the cached one.
 
 The trace formulas work on the eigenvalues ``lam[..., n]``, the squared
 moduli ``w[..., n, n]`` of the centered observable's elements and their row

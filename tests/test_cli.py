@@ -98,6 +98,19 @@ class TestVerify:
         assert "PASS" not in captured.out
         assert "domain floor" in captured.err
 
+    @pytest.mark.parametrize("entry", [
+        {"id": "THM23_TILDE", "alpha": [0.1, 0.2]},
+        {"id": "THM23_TILDE", "alpha": [0.1, 0.2], "beta": 0.5},
+        {"id": "THM23_TILDE", "beta": 0.5},
+    ])
+    def test_half_fixed_tilde_pair_exit_two(self, tmp_path, capsys, entry):
+        doc = small_config_doc()
+        doc["inequalities"] = [entry]
+        assert main(["verify", write_config(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert "scalar alpha and beta" in captured.err
+
     def test_missing_file_exit_two(self):
         assert main(["verify", "/nonexistent/config.json"]) == 2
 

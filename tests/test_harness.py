@@ -281,6 +281,29 @@ class TestConfig:
                 "inequalities": [{"id": "THM22_GWYD", "alpha": 0.3, "beta": 0.4}],
             })
 
+    @pytest.mark.parametrize("entry", [
+        {"id": "THM23_TILDE", "alpha": [0.1, 0.2]},
+        {"id": "THM23_TILDE", "alpha": [0.1, 0.2], "beta": 0.5},
+        {"id": "THM23_TILDE", "alpha": 0.3},
+        {"id": "THM23_TILDE", "beta": 0.5},
+        {"id": "THM22_GWYD", "beta": 0.5},
+        {"id": "THM22_GWYD", "alpha": 0.2},
+    ])
+    def test_two_parameter_pair_fixed_whole(self, entry):
+        with pytest.raises(ConfigError, match="scalar alpha and beta, set together"):
+            config_from_dict({"seed": 1, "dims": [2], "samples_per_dim": 1,
+                              "inequalities": [entry]})
+
+    def test_thm23_fixed_pair_is_used(self):
+        config = config_from_dict({
+            "seed": 1, "dims": [2], "samples_per_dim": 3,
+            "inequalities": [{"id": "THM23_TILDE", "alpha": 0.3, "beta": 1.5}],
+        })
+        setting = config.inequalities[0]
+        for idx in range(3):
+            params = _resolve_params(setting, idx, seed=1, dim=2, ordinal=0)
+            assert params == {"alpha": 0.3, "beta": 1.5}
+
     def test_triple_required(self):
         with pytest.raises(ConfigError, match="misses"):
             config_from_dict({"seed": 1, "dims": [2], "samples_per_dim": 1,

@@ -6,7 +6,9 @@ import pytest
 from skewlab.linalg import (
     DensityMatrix,
     DomainError,
+    EigenDecompositionError,
     HermitianMatrix,
+    Tolerances,
     adjoint,
     anticommutator,
     apply_scalar_function,
@@ -170,6 +172,42 @@ class TestEigen:
             w1 = hermitian_eigen(HermitianMatrix(a)).eigenvalues
             w2 = hermitian_eigen(HermitianMatrix(v @ a @ v.conj().T)).eigenvalues
             np.testing.assert_allclose(w1, w2, atol=1e-10)
+
+
+class TestDecompositionCache:
+    def test_same_object_same_tolerances_returns_same_decomposition(self):
+        rho = random_density(4, np.random.default_rng(20))
+        assert hermitian_eigen(rho) is hermitian_eigen(rho)
+        assert hermitian_eigen(rho, Tolerances()) is hermitian_eigen(rho)
+
+    def test_other_tolerances_recompute(self, eigh_calls):
+        rho = random_density(4, np.random.default_rng(21))
+        first = hermitian_eigen(rho)
+        other = hermitian_eigen(rho, Tolerances(reconstruction=1e-9))
+        assert other is not first
+        assert len(eigh_calls) == 2
+        assert hermitian_eigen(rho, Tolerances(reconstruction=1e-9)) is other
+
+    def test_equal_valued_new_object_is_decomposed_on_its_own(self, eigh_calls):
+        entries = random_density(3, np.random.default_rng(22)).entries
+        a, b = DensityMatrix(entries), DensityMatrix(entries)
+        da, db = hermitian_eigen(a), hermitian_eigen(b)
+        assert da is not db and da.source is a and db.source is b
+        assert len(eigh_calls) == 2
+
+    def test_failed_check_is_not_cached(self):
+        a = HermitianMatrix(random_hermitian(6, np.random.default_rng(23)))
+        strict = Tolerances(reconstruction=0.0)
+        for _ in range(2):
+            with pytest.raises(EigenDecompositionError, match="reconstruction"):
+                hermitian_eigen(a, strict)
+
+    def test_cached_arrays_stay_read_only(self):
+        d = hermitian_eigen(random_density(3, np.random.default_rng(24)))
+        with pytest.raises(ValueError):
+            d.eigenvalues[0] = 0.0
+        with pytest.raises(ValueError):
+            d.vectors[0, 0] = 0.0
 
 
 class TestSpectralCalculus:

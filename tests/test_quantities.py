@@ -317,6 +317,22 @@ class TestFghFamily:
             fgh_family(rho, HermitianMatrix(SX), t)
 
 
+class TestSharedDecomposition:
+    def test_families_on_one_state_decompose_it_once(self, eigh_calls):
+        rng = np.random.default_rng(30)
+        rho, h = random_density(5, rng), random_hermitian(5, rng)
+        t = FunctionTriple(Power(p=0.25), Power(p=0.25), Power(p=0.5))
+        wy = wy_skew(rho, h)
+        wyd = wyd_family(rho, h, 0.3)
+        fgh = fgh_family(rho, h, t)
+        assert len(eigh_calls) == 1
+        d = hermitian_eigen(rho)
+        assert len(eigh_calls) == 1
+        assert wy == wy_skew(rho, h, decomp=d)
+        assert wyd == wyd_family(rho, h, 0.3, decomp=d)
+        assert fgh == fgh_family(rho, h, t, decomp=d)
+
+
 class TestEigensum:
     def test_commuting_observable_vanishes(self):
         rng = np.random.default_rng(17)
