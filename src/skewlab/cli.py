@@ -152,7 +152,7 @@ def _cmd_counterexample(args) -> int:
     print(f"lhs = {_fmt(record.lhs)}")
     print(f"rhs = {_fmt(record.rhs)}")
     print(f"margin = {_fmt(record.margin)}")
-    print(json.dumps(record.to_json(), indent=2, sort_keys=True))
+    print(record.to_json_text())
     return 0
 
 

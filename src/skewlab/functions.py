@@ -435,16 +435,26 @@ def check_assumption(
     lf = np.asarray(f.log_value(grid), dtype=float)
     lg = np.asarray(g.log_value(grid), dtype=float)
     lh = np.asarray(h.log_value(grid), dtype=float)
-    i, j = np.triu_indices(k_pairs, k=1)
-    d_f = lf[j] - lf[i]
-    if np.any(d_f <= 0.0):
-        raise ValueError("f is not strictly increasing on the grid")
-    r_g = (lg[j] - lg[i]) / d_f
-    r_h = (lh[j] - lh[i]) / d_f
+    # every pair i < j, a block of rows at a time, so memory stays O(k)
+    cond_i, cond_ii = fh_mono, fh_anti
+    rows = max(1, _PAIR_BLOCK // k_pairs)
+    for lo in range(0, k_pairs - 1, rows):
+        hi = min(lo + rows, k_pairs - 1)
+        upper = np.arange(lo + 1, k_pairs) > np.arange(lo, hi)[:, None]
+        i, j = np.nonzero(upper)
+        i += lo
+        j += lo + 1
+        d_f = lf[j] - lf[i]
+        if np.any(d_f <= 0.0):
+            raise ValueError("f is not strictly increasing on the grid")
+        r_g = (lg[j] - lg[i]) / d_f
+        r_h = (lh[j] - lh[i]) / d_f
+        cond_i = cond_i and bool(np.all(1.0 + r_g <= r_h + tol))
+        cond_ii = cond_ii and bool(np.all(1.0 + r_g + r_h >= -tol))
 
-    if fh_mono and bool(np.all(1.0 + r_g <= r_h + tol)):
+    if cond_i:
         return Assumption.I
-    if fh_anti and bool(np.all(1.0 + r_g + r_h >= -tol)):
+    if cond_ii:
         return Assumption.II
     return Assumption.NEITHER
 
@@ -534,11 +544,14 @@ def l_scan_min(triple: FunctionTriple, k: int = 200) -> LScanResult:
     """Minimum of the two-point ratio over all off-diagonal pairs of a
     k-point grid on [eps, 1], with the argmin pair.
 
-    The ratio is symmetric in (x, y) bit for bit, so only the pairs i < j are
-    evaluated, a block of rows at a time: O(k^2) time in O(k) memory. The
-    argmin is the first pair in row-major order, which always has i < j; if
-    every pair is excluded the result is (inf, grid[0], grid[0]). A NaN ratio
-    (0/0, e.g. h == 0) is returned as the minimum, as ``np.argmin`` would.
+    A pair is excluded, as in ``l_value``, when its denominator is zero or
+    negligible against the numerator scale, so h == 0 gives inf rather than
+    0/0. The ratio is symmetric in (x, y) bit for bit, so only the pairs
+    i < j are evaluated, a block of rows at a time: O(k^2) time in O(k)
+    memory. The argmin is the first pair in row-major order, which always has
+    i < j; if every pair is excluded the result is (inf, grid[0], grid[0]).
+    A NaN ratio (from non-finite function values) is returned as the
+    minimum, as ``np.argmin`` would.
     """
     if k < 2:
         raise ValueError("scan grid needs at least 2 points")
@@ -559,6 +572,7 @@ def l_scan_min(triple: FunctionTriple, k: int = 200) -> LScanResult:
         den = np.subtract.outer(prod[r], prod[c])
         np.sqrt(np.abs(values, out=scratch), out=scratch)
         bad = np.abs(den) < np.multiply(1e-14, scratch, out=scratch)
+        bad |= den == 0.0
         bad |= np.arange(lo + 1, k) <= np.arange(lo, hi)[:, None]
         den[bad] = 1.0
         with np.errstate(divide="ignore", invalid="ignore"):

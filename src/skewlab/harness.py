@@ -44,6 +44,7 @@ from .linalg import (
     element_tables,
     hermitian_eigen,
     hermitian_stack,
+    matrix_json_text,
     matrix_to_json,
 )
 from .quantities import _fgh_ij, _gwyd_ij, _tilde_ij, _total, _triple_values, _wyd_ij
@@ -742,7 +743,9 @@ class SampleRecord:
     obs_a: np.ndarray | None = None
     obs_b: np.ndarray | None = None
 
-    def to_json(self) -> dict:
+    def to_json(self, *, matrix=matrix_to_json) -> dict:
+        """The record as a JSON document; ``matrix`` maps each matrix to its
+        node (``to_json_text`` keeps the arrays themselves)."""
         doc = {
             "id": self.inequality.value,
             "dim": self.dim,
@@ -753,26 +756,66 @@ class SampleRecord:
             "pass": self.passed,
             "params": self.params,
         }
-        doc["rho"] = None if self.state is None else matrix_to_json(self.state)
-        doc["a"] = None if self.obs_a is None else matrix_to_json(self.obs_a)
-        doc["b"] = None if self.obs_b is None else matrix_to_json(self.obs_b)
+        doc["rho"] = None if self.state is None else matrix(self.state)
+        doc["a"] = None if self.obs_a is None else matrix(self.obs_a)
+        doc["b"] = None if self.obs_b is None else matrix(self.obs_b)
         return doc
 
+    def to_json_text(self, indent: int = 2) -> str:
+        """``json.dumps(self.to_json(), indent=indent, sort_keys=True)``."""
+        return _json_text(self.to_json(matrix=np.asarray), indent)
 
-def _record(setting, entry: _EntryBlock, k: int, index: int, rho, a, b) -> SampleRecord:
-    """The sample at position k of an evaluated block, with its matrices."""
+
+def _json_text(doc, indent: int) -> str:
+    """``json.dumps(doc, indent=indent, sort_keys=True)`` for a document with
+    string keys whose matrices are left as arrays: each array is written as
+    its ``matrix_to_json`` node would be, straight from its floats, and an
+    array that recurs at the same depth is rendered once. Every other value
+    goes through ``json.dumps``, so NaN and infinities come out as there.
+    """
+    pad = " " * indent
+    chunks: list[str] = []
+    rendered: dict[tuple[int, int], str] = {}
+
+    def emit(node, level: int) -> None:
+        if isinstance(node, np.ndarray):
+            seen = (id(node), level)
+            if seen not in rendered:
+                rendered[seen] = matrix_json_text(node, pad, level)
+            chunks.append(rendered[seen])
+        elif isinstance(node, dict) and node:
+            sep = "{\n" + pad * (level + 1)
+            for name, value in sorted(node.items()):
+                chunks.append(sep + json.dumps(name) + ": ")
+                emit(value, level + 1)
+                sep = ",\n" + pad * (level + 1)
+            chunks.append("\n" + pad * level + "}")
+        elif isinstance(node, (list, tuple)) and node:
+            sep = "[\n" + pad * (level + 1)
+            for value in node:
+                chunks.append(sep)
+                emit(value, level + 1)
+                sep = ",\n" + pad * (level + 1)
+            chunks.append("\n" + pad * level + "]")
+        else:
+            chunks.append(json.dumps(node))
+
+    emit(doc, 0)
+    return "".join(chunks)
+
+
+def _record(setting, entry: _EntryBlock, k: int, dim: int, index: int) -> SampleRecord:
+    """The sample at position k of an evaluated block; the caller sets its
+    matrices."""
     return SampleRecord(
         inequality=setting.id,
-        dim=rho.dim,
+        dim=dim,
         index=index,
         lhs=float(entry.lhs[k]),
         rhs=float(entry.rhs[k]),
         margin=float(entry.margin[k]),
         passed=bool(entry.passed[k]),
         params=entry.params_at(k),
-        state=np.asarray(rho),
-        obs_a=np.asarray(a),
-        obs_b=np.asarray(b),
     )
 
 
@@ -793,7 +836,10 @@ def _evaluate_one(setting, plan, rho, a, b, params: dict, slack: float, index: i
         element_table(decomp, b).entries[None],
     )
     one = {name: np.array([value]) for name, value in params.items()}
-    return _record(setting, _evaluate_block(setting, batch, one, plan, slack), 0, index, rho, a, b)
+    entry = _evaluate_block(setting, batch, one, plan, slack)
+    record = _record(setting, entry, 0, rho.dim, index)
+    record.state, record.obs_a, record.obs_b = np.asarray(rho), np.asarray(a), np.asarray(b)
+    return record
 
 
 def evaluate_inequality(
@@ -840,13 +886,13 @@ class InequalityStats:
     min_margin: float
     worst: SampleRecord
 
-    def to_json(self) -> dict:
+    def to_json(self, *, matrix=matrix_to_json) -> dict:
         return {
             "setting": self.setting,
             "samples": self.samples,
             "violations": self.violations,
             "min_margin": self.min_margin,
-            "worst_case": self.worst.to_json(),
+            "worst_case": self.worst.to_json(matrix=matrix),
         }
 
 
@@ -859,16 +905,18 @@ class CampaignReport:
     rows: list[tuple] = field(default_factory=list, repr=False)
     # rows: (id-string, dim, index, lhs, rhs, margin, passed)
 
-    def to_json(self) -> dict:
+    def to_json(self, *, matrix=matrix_to_json) -> dict:
         return {
             "config": self.config,
             "config_hash": self.config_hash,
-            "inequalities": [s.to_json() for s in self.stats],
+            "inequalities": [s.to_json(matrix=matrix) for s in self.stats],
             "wall_time_seconds": self.wall_time,
         }
 
     def to_json_text(self, indent: int = 2) -> str:
-        return json.dumps(self.to_json(), indent=indent, sort_keys=True)
+        """``json.dumps(self.to_json(), indent=indent, sort_keys=True)``,
+        written from the worst cases' arrays."""
+        return _json_text(self.to_json(matrix=np.asarray), indent)
 
     def csv_rows(self):
         yield "id,n,lhs,rhs,margin,pass"
@@ -900,13 +948,17 @@ def config_hash(config: CampaignConfig) -> str:
 _BLOCK_ELEMENTS = 16384
 
 
+def _block_size(dim: int) -> int:
+    return max(1, _BLOCK_ELEMENTS // (dim * dim))
+
+
 def _blocks(config: CampaignConfig) -> list[tuple[int, int, int]]:
     """(dim, start, stop) of every block, in report order. The partition
     depends only on each dim and samples_per_dim, never on the worker count,
     so the floating-point result of every sample does not either."""
     out = []
     for dim in config.dims:
-        size = max(1, _BLOCK_ELEMENTS // (dim * dim))
+        size = _block_size(dim)
         for start in range(0, config.samples_per_dim, size):
             out.append((dim, start, min(start + size, config.samples_per_dim)))
     return out
@@ -933,6 +985,24 @@ def _block_rows(config: CampaignConfig, plans, dim: int, start: int, stop: int):
 
 def _worker_entry(args):
     return _block_rows(*args)
+
+
+def _replay(config: CampaignConfig, picks) -> dict:
+    """(rho, A, B) of every distinct (dim, index) in ``picks``, drawn once,
+    in blocks no larger than the campaign's; records that share a sample
+    share its arrays. The states skip no check: ``density_stack`` leaves the
+    positivity floor to ``eigh_stack``, which checked these same bits when
+    the campaign evaluated the sample's block."""
+    out = {}
+    for dim in sorted({d for d, _index in picks}):
+        indices = sorted(index for d, index in picks if d == dim)
+        size = _block_size(dim)
+        for start in range(0, len(indices), size):
+            chunk = indices[start : start + size]
+            stacks = _draw_block(config.seed, dim, np.array(chunk), config.delta)
+            for k, index in enumerate(chunk):
+                out[dim, index] = tuple(stack[k] for stack in stacks)
+    return out
 
 
 def run_campaign(config: CampaignConfig, threads: int | None = None) -> CampaignReport:
@@ -985,8 +1055,6 @@ def run_campaign(config: CampaignConfig, threads: int | None = None) -> Campaign
         # the smallest (margin, dim position, index)
         worst = int(np.argmin(margin))
         part = int(np.searchsorted(ends, worst, side="right"))
-        dim, index = int(dims[worst]), int(indices[worst])
-        rho, a, b = _draw_sample(config.seed, dim, index, config.delta)
         offset = worst - (int(ends[part - 1]) if part else 0)
         stats.append(
             InequalityStats(
@@ -994,10 +1062,15 @@ def run_campaign(config: CampaignConfig, threads: int | None = None) -> Campaign
                 samples=len(margin),
                 violations=int(np.count_nonzero(~passed)),
                 min_margin=float(margin[worst]),
-                worst=_record(setting, parts[part], offset, index, rho, a, b),
+                worst=_record(
+                    setting, parts[part], offset, int(dims[worst]), int(indices[worst])
+                ),
             )
         )
 
+    samples = _replay(config, {(s.worst.dim, s.worst.index) for s in stats})
+    for s in stats:
+        s.worst.state, s.worst.obs_a, s.worst.obs_b = samples[s.worst.dim, s.worst.index]
     return CampaignReport(
         config=config.to_dict(),
         config_hash=config_hash(config),

@@ -30,6 +30,7 @@ __all__ = [
     "center_observable",
     "element_table",
     "matrix_to_json",
+    "matrix_json_text",
     "matrix_from_json",
 ]
 
@@ -357,15 +358,35 @@ def element_tables(
     return t, mean
 
 
+def _float_parts(a) -> tuple[int, np.ndarray]:
+    """Dimension and (re, im, re, im, ...) floats of a finite square matrix."""
+    m = _as_square_complex(a)
+    return m.shape[0], np.ascontiguousarray(m).reshape(-1).view(np.float64)
+
+
 def matrix_to_json(a) -> dict:
     """Serialize a square complex matrix as {"dim": n, "entries": [[re, im], ...]}."""
-    m = _as_square_complex(np.asarray(a))
-    n = m.shape[0]
-    flat = m.reshape(-1)
-    return {
-        "dim": n,
-        "entries": [[float(z.real), float(z.imag)] for z in flat],
-    }
+    n, parts = _float_parts(a)
+    return {"dim": n, "entries": parts.reshape(-1, 2).tolist()}
+
+
+def matrix_json_text(a, indent: str, level: int) -> str:
+    """``matrix_to_json(a)`` as ``json.dumps(..., indent=indent, sort_keys=True)``
+    lays it out as a value ``level`` levels deep, rendered from the array.
+
+    The entries are finite, so each float is its ``repr``, as in ``json``.
+    """
+    n, parts = _float_parts(a)
+    pad = ["\n" + indent * k for k in range(level, level + 4)]
+    if n == 0:
+        entries = "[]"
+    else:
+        it = iter(map(float.__repr__, parts.tolist()))
+        pairs = (pad[2] + "]," + pad[2] + "[" + pad[3]).join(
+            map(("," + pad[3]).join, zip(it, it))
+        )
+        entries = "[" + pad[2] + "[" + pad[3] + pairs + pad[2] + "]" + pad[1] + "]"
+    return "{" + pad[1] + f'"dim": {n},' + pad[1] + '"entries": ' + entries + pad[0] + "}"
 
 
 def matrix_from_json(doc: dict) -> np.ndarray:

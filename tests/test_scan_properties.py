@@ -49,7 +49,7 @@ def dense_l_scan_min(triple: FunctionTriple, k: int) -> LScanResult:
     )
     prod = fv * gv * hv
     den = prod[:, None] - prod[None, :]
-    bad = np.abs(den) < 1e-14 * np.sqrt(np.abs(num))
+    bad = (np.abs(den) < 1e-14 * np.sqrt(np.abs(num))) | (den == 0.0)
     np.fill_diagonal(bad, True)
     with np.errstate(divide="ignore", invalid="ignore"):
         values = np.where(bad, np.inf, num / np.where(bad, 1.0, den) ** 2)
@@ -60,6 +60,31 @@ def dense_l_scan_min(triple: FunctionTriple, k: int) -> LScanResult:
         arg_y=float(grid[j]),
         grid_size=k,
     )
+
+
+def triu_check_assumption(triple: FunctionTriple, k_pairs: int, tol: float = 1e-12):
+    """``check_assumption`` with every grid pair i < j built at once."""
+    f, g, h = triple.f, triple.g, triple.h
+    grid = np.linspace(triple.eps, 1.0, k_pairs)
+    fv, gv, hv = (np.asarray(fn.value(grid), dtype=float) for fn in (f, g, h))
+    m_g, _ = functions._ratio_extrema(f, g, functions.RATIO_GRID)
+    m_h, M_h = functions._ratio_extrema(f, h, functions.RATIO_GRID)
+    if not (functions._pair_condition(fv, gv, +1, tol) and m_g >= -tol):
+        return functions.Assumption.NEITHER
+    fh_mono = functions._pair_condition(fv, hv, +1, tol) and m_h >= -tol
+    fh_anti = functions._pair_condition(fv, hv, -1, tol) and M_h <= tol
+    lf, lg, lh = (np.asarray(fn.log_value(grid), dtype=float) for fn in (f, g, h))
+    i, j = np.triu_indices(k_pairs, k=1)
+    d_f = lf[j] - lf[i]
+    if np.any(d_f <= 0.0):
+        raise ValueError("f is not strictly increasing on the grid")
+    r_g = (lg[j] - lg[i]) / d_f
+    r_h = (lh[j] - lh[i]) / d_f
+    if fh_mono and bool(np.all(1.0 + r_g <= r_h + tol)):
+        return functions.Assumption.I
+    if fh_anti and bool(np.all(1.0 + r_g + r_h >= -tol)):
+        return functions.Assumption.II
+    return functions.Assumption.NEITHER
 
 
 def dense_pair_condition(fv, gv, sign, tol=1e-12):
@@ -145,6 +170,14 @@ def test_constant_product_triple_all_inf(k):
     assert l_scan_min(t, k) == want == dense_l_scan_min(t, k)
 
 
+def test_zero_h_excludes_every_pair():
+    # f g h == 0 on the whole grid: every pair is 0/0, which l_value calls inf
+    eps = 1e-6
+    t = FunctionTriple(Power(p=1.0), Power(p=0.5), Const(c=0.0))
+    assert l_scan_min(t, 50) == LScanResult(min_value=np.inf, arg_x=eps, arg_y=eps, grid_size=50)
+    assert functions.l_value(t, 0.25, 0.5) == np.inf
+
+
 # ------------------------------------------------------------- pair condition
 
 @PROPERTY
@@ -220,3 +253,32 @@ def test_classification_matches_dense(triple, k):
     got = run()
     with patch.object(functions, "_pair_condition", dense_pair_condition):
         assert got == run()
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except (ValueError, ZeroDivisionError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@PROPERTY
+@given(triple=triples(), k=small_grids, block=blocks)
+def test_check_assumption_matches_triu_form(triple, k, block):
+    with patch.object(functions, "_PAIR_BLOCK", block):
+        got = _outcome(check_assumption, triple, k)
+    assert got == _outcome(triu_check_assumption, triple, k)
+
+
+@pytest.mark.parametrize("triple", [
+    FunctionTriple(Power(p=0.25), Power(p=0.25), Power(p=0.5)),   # condition I
+    FunctionTriple(Power(p=1.0), Power(p=2.0), Const(c=1.0)),     # condition II
+    FunctionTriple(Power(p=1.0), Power(p=1.0), Power(p=-0.5)),
+    # condition II fails only on pairs with both points above 2/3, in late row blocks
+    FunctionTriple(Power(p=1.0), Power(p=1.0), Exp(a=-3.0)),
+])
+@pytest.mark.parametrize("block", [1, 7, functions._PAIR_BLOCK])
+def test_check_assumption_matches_triu_form_on_known_triples(triple, block):
+    with patch.object(functions, "_PAIR_BLOCK", block):
+        got = check_assumption(triple, 600)
+    assert got == triu_check_assumption(triple, 600)
