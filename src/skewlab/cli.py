@@ -24,10 +24,20 @@ from .functions import (
     ratio_bounds,
     triple_from_spec,
 )
-from .harness import ConfigError, InequalityId, config_from_dict, run_campaign, search_counterexample
+from .harness import (
+    ConfigError,
+    InequalityId,
+    _setting_from_entry,
+    config_from_dict,
+    run_campaign,
+    search_counterexample,
+)
 from .linalg import DomainError
 
 __all__ = ["main", "run", "load_default_config"]
+
+# Ids that cannot run without a function triple, so only --entry offers them.
+_TRIPLE_IDS = (InequalityId.THM31_FGH, InequalityId.COR41_PAIR)
 
 
 def _fmt(x: float) -> str:
@@ -142,9 +152,8 @@ def _cmd_lemma41(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    record = search_counterexample(
-        args.id, budget=args.budget, seed=args.seed, dim=args.dim
-    )
+    setting = args.id if args.entry is None else _setting_from_entry(_parse_json_arg(args.entry))
+    record = search_counterexample(setting, budget=args.budget, seed=args.seed, dim=args.dim)
     if record is None:
         print("exhausted")
         return 1
@@ -196,8 +205,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_lemma41)
 
     p = sub.add_parser("counterexample", help="hunt for a violating instance")
-    p.add_argument("--id", required=True,
-                   choices=[i.value for i in InequalityId])
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--id", choices=[i.value for i in InequalityId if i not in _TRIPLE_IDS],
+                       help="inequality id, with its parameters drawn per sample "
+                            "(THM31_FGH and COR41_PAIR need their functions: use --entry)")
+    which.add_argument("--entry",
+                       help="one campaign entry as JSON (or @file), e.g. a THM31_FGH "
+                            "entry with its triple")
     p.add_argument("--budget", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dim", type=int, default=2)

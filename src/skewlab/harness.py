@@ -47,7 +47,15 @@ from .linalg import (
     matrix_json_text,
     matrix_to_json,
 )
-from .quantities import _fgh_ij, _gwyd_ij, _tilde_ij, _total, _triple_values, _wyd_ij
+from .quantities import (
+    _fgh_ij,
+    _gwyd_ij,
+    _powers,
+    _tilde_ij,
+    _total,
+    _triple_values,
+    _wyd_ij,
+)
 
 __all__ = [
     "InequalityId",
@@ -640,7 +648,7 @@ def _thm23(batch, params, plan):
     if np.any(bad):
         raise ValueError("need alpha, beta > 0, got ({}, {})".format(*_first(bad, alpha, beta)))
     s = alpha + beta
-    rhs = alpha * beta / s**2 * batch.comm_sq(batch.lam ** s[:, None])
+    rhs = alpha * beta / s**2 * batch.comm_sq(_powers(batch.lam, s))
     return batch.u_product(_tilde_ij, alpha, beta), rhs, {}
 
 

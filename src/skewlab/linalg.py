@@ -3,7 +3,9 @@ density-matrix types, eigendecomposition, and spectral function calculus."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import weakref
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -204,11 +206,16 @@ class SpectralDecomposition:
     """Eigenvalues (descending) and orthonormal eigenvectors of a Hermitian matrix.
 
     ``vectors[:, i]`` is the eigenvector for ``eigenvalues[i]``.
+    ``pair_cache`` holds per-observable data that ``quantities`` derives
+    from this decomposition, keyed weakly by the observable object.
     """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
     source: HermitianMatrix
+    pair_cache: weakref.WeakKeyDictionary = field(
+        default_factory=weakref.WeakKeyDictionary, init=False, repr=False
+    )
 
     @property
     def dim(self) -> int:
@@ -318,10 +325,13 @@ class MatrixElementTable:
     entries: np.ndarray
     expectation: float  # Tr[rho H]
 
-    @property
+    @functools.cached_property
     def weights(self) -> np.ndarray:
-        """Squared moduli |entries|^2 (real symmetric)."""
-        return np.abs(self.entries) ** 2
+        """Squared moduli |entries|^2 (real symmetric, read-only), computed
+        once per table."""
+        w = np.abs(self.entries) ** 2
+        w.flags.writeable = False
+        return w
 
 
 def element_table(

@@ -6,6 +6,15 @@ Every family shares one spectral decomposition of the state:
 evaluating several families on one state decomposes it once. An explicit
 ``decomp`` argument is used instead of the cached one.
 
+Every family also shares the pair data of one (decomposition, observable)
+pair: the weights ``|<phi_i|H0|phi_j>|^2`` and their row sums. The first
+call builds the element table, runs its dimension and conjugate-symmetry
+checks and keeps the two real arrays, read-only, on the decomposition,
+keyed weakly by the observable object; later calls on the same pair reuse
+them. The entry lives as long as both the decomposition (so, through
+``hermitian_eigen``'s cache, the state) and the observable object do. The
+complex table itself is not kept, and a failed check caches nothing.
+
 The trace formulas work on the eigenvalues ``lam[..., n]``, the squared
 moduli ``w[..., n, n]`` of the centered observable's elements and their row
 sums ``row[..., n]``; any leading axes are batch axes, so the campaign
@@ -14,6 +23,7 @@ harness evaluates a whole block of samples with the same formulas.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -104,16 +114,31 @@ def _pair_data(
     decomp: SpectralDecomposition | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenvalues of rho, squared moduli of the centered observable's
-    elements in rho's eigenbasis, and their row sums."""
+    elements in rho's eigenbasis, and their row sums; the last two are
+    cached on ``decomp`` per observable object."""
     if decomp is None:
         decomp = hermitian_eigen(rho)
-    w = element_table(decomp, h).weights
-    return decomp.eigenvalues, w, w.sum(axis=-1)
+    cached = decomp.pair_cache.get(h)
+    if cached is None:
+        w = element_table(decomp, h).weights
+        row = w.sum(axis=-1)
+        row.flags.writeable = False
+        cached = decomp.pair_cache[h] = (w, row)
+    return (decomp.eigenvalues, *cached)
 
 
 def _powers(lam: np.ndarray, s) -> np.ndarray:
-    """lam**s with one exponent per batch entry (or one for all)."""
-    return lam ** np.asarray(s, dtype=float)[..., None]
+    """lam**s with one exponent per batch entry (or one for all).
+
+    A per-entry exponent is spread over the full shape first. numpy's power
+    takes a scalar-exponent route (sqrt for 0.5) when the exponent's stride
+    is 0 over the whole inner loop, as it is for a one-row batch, so without
+    this a sample would round differently alone than in a larger block.
+    """
+    s = np.asarray(s, dtype=float)[..., None]
+    if s.ndim > 1:
+        s = np.broadcast_to(s, lam.shape).copy()
+    return lam ** s
 
 
 def _bilinear(x: np.ndarray, w: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -354,6 +379,16 @@ class EigenSum:
     J_diag: float
 
 
+@functools.lru_cache(maxsize=8)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only index pairs (i, j), i < j, of an n x n upper triangle, kept
+    for the last few sizes used."""
+    pairs = np.triu_indices(n, k=1)
+    for idx in pairs:
+        idx.flags.writeable = False
+    return pairs
+
+
 def fgh_eigensum(
     decomp: SpectralDecomposition,
     table: MatrixElementTable,
@@ -365,8 +400,7 @@ def fgh_eigensum(
         raise DomainError("smallest eigenvalue below the triple's domain floor")
     w = table.weights
     fv, gv, hv = _triple_values(triple, lam)
-    n = lam.shape[0]
-    i_idx, j_idx = np.triu_indices(n, k=1)
+    i_idx, j_idx = _upper_pairs(lam.shape[0])
     wij = w[i_idx, j_idx]
     df = fv[i_idx] - fv[j_idx]
     dg = gv[i_idx] - gv[j_idx]

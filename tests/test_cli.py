@@ -250,6 +250,42 @@ class TestCounterexample:
         second = capsys.readouterr().out
         assert first == second
 
+    @pytest.mark.parametrize("entry", [
+        {"id": "THM31_FGH", "triple": json.loads(QUARTER)},
+        {"id": "COR41_PAIR", "f": {"kind": "power", "p": 0.5},
+         "g": {"kind": "power", "p": 0.25}},
+    ])
+    def test_triple_entries_run(self, tmp_path, capsys, entry):
+        args = ["counterexample", "--budget", "20", "--seed", "3", "--dim", "3"]
+        code = main(args + ["--entry", json.dumps(entry)])
+        assert code in (0, 1)
+        inline = capsys.readouterr()
+        assert inline.err == ""
+        path = write_config(tmp_path, entry, "entry.json")
+        assert main(args + ["--entry", "@" + path]) == code
+        assert capsys.readouterr().out == inline.out
+
+    def test_entry_matches_id(self, capsys):
+        args = ["counterexample", "--budget", "100", "--seed", "9"]
+        assert main(args + ["--id", "NAIVE_WY_SHOULD_FAIL"]) == 0
+        by_id = capsys.readouterr().out
+        assert main(args + ["--entry", '{"id": "NAIVE_WY_SHOULD_FAIL"}']) == 0
+        assert capsys.readouterr().out == by_id
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "one of the arguments --id --entry is required"),
+        (["--id", "THM21_WYD", "--entry", '{"id": "THM21_WYD"}'], "not allowed with"),
+        (["--id", "THM31_FGH"], "invalid choice"),
+        (["--entry", "@no/such/entry.json"], "No such file"),
+        (["--entry", '{"id": "THM31_FGH"}'], "misses field 'triple'"),
+        (["--entry", '{"id": "THM21_WYD", "alpha": 0.3, "gamma": 1}'],
+         "unknown keys for THM21_WYD: ['gamma']"),
+        (["--entry", '{"alpha": 0.3}'], "must be an object with an 'id'"),
+    ])
+    def test_bad_entry_exit_two(self, capsys, argv, message):
+        assert main(["counterexample", "--budget", "5", *argv]) == 2
+        assert message in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("module", ["skewlab", "skewlab.cli"])
 def test_python_dash_m_runs_cli(module):

@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+from skewlab import harness
+from skewlab.cli import load_default_config
 from skewlab.harness import (
     _PARAM_SALT,
     CampaignConfig,
@@ -345,6 +347,20 @@ class TestCampaign:
         j1.pop("wall_time_seconds")
         j2.pop("wall_time_seconds")
         assert json.dumps(j1, sort_keys=True) == json.dumps(j2, sort_keys=True)
+
+    def test_rows_independent_of_block_size(self, monkeypatch):
+        # With one sample per block, THM21_WYD at alpha = 0.5 (dim 3 index 4,
+        # dim 32 index 40, dim 64 index 4) once rounded differently in the
+        # last bit, through numpy's scalar-exponent power.
+        cfg = config_from_dict(dict(load_default_config(), dims=[3, 32, 64], samples_per_dim=48))
+        report = run_campaign(cfg)
+        monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", 8)
+        single = run_campaign(cfg)
+        changed = [(a, b) for a, b in zip(report.rows, single.rows) if repr(a) != repr(b)]
+        assert len(single.rows) == len(report.rows)
+        assert changed == []
+        report.wall_time = single.wall_time = 0.0
+        assert single.to_json_text() == report.to_json_text()
 
     def test_deterministic_repeat(self):
         cfg = small_config()

@@ -1,14 +1,17 @@
 """Tests for the skew-information families and their dual evaluation paths."""
 
+import gc
 import math
 
 import numpy as np
 import pytest
 
+from skewlab import quantities
 from skewlab.functions import Const, FunctionTriple, Power
 from skewlab.linalg import (
     DensityMatrix,
     HermitianMatrix,
+    Tolerances,
     element_table,
     hermitian_eigen,
 )
@@ -331,6 +334,111 @@ class TestSharedDecomposition:
         assert wy == wy_skew(rho, h, decomp=d)
         assert wyd == wyd_family(rho, h, 0.3, decomp=d)
         assert fgh == fgh_family(rho, h, t, decomp=d)
+
+
+QUARTER = FunctionTriple(Power(p=0.25), Power(p=0.25), Power(p=0.5))
+
+
+def every_family(rho, h, decomp=None):
+    return (
+        wy_skew(rho, h, decomp=decomp),
+        luo_u(rho, h, decomp=decomp),
+        wyd_family(rho, h, 0.3, decomp=decomp),
+        gwyd_family(rho, h, 0.2, 0.9, decomp=decomp),
+        gwyd_tilde_family(rho, h, 0.4, 1.3, decomp=decomp),
+        fgh_family(rho, h, QUARTER, decomp=decomp),
+    )
+
+
+@pytest.fixture
+def table_calls(monkeypatch):
+    """Count the element tables ``quantities`` builds during the test."""
+    calls = []
+    build = quantities.element_table
+
+    def counted(decomp, h, *args, **kwargs):
+        calls.append(h)
+        return build(decomp, h, *args, **kwargs)
+
+    monkeypatch.setattr(quantities, "element_table", counted)
+    return calls
+
+
+class TestPairDataCache:
+    def test_one_decomposition_and_one_table_per_pair(self, eigh_calls, table_calls):
+        rng = np.random.default_rng(31)
+        rho, a, b = random_density(6, rng), random_hermitian(6, rng), random_hermitian(6, rng)
+        for _ in range(2):
+            every_family(rho, a)
+            every_family(rho, b)
+        assert len(eigh_calls) == 1
+        assert table_calls == [a, b]
+
+    def test_repeated_calls_equal_calls_on_fresh_copies(self):
+        rng = np.random.default_rng(32)
+        for n in (2, 5, 16):
+            rho, h = random_density(n, rng), random_hermitian(n, rng)
+            first = every_family(rho, h)
+            again = every_family(rho, h)
+            fresh = every_family(DensityMatrix(rho.entries), HermitianMatrix(h.entries))
+            assert repr(first) == repr(again) == repr(fresh)
+
+    def test_equal_valued_new_observable_is_computed_on_its_own(self, table_calls):
+        rng = np.random.default_rng(33)
+        rho, h = random_density(4, rng), random_hermitian(4, rng)
+        twin = HermitianMatrix(h.entries)
+        assert wy_skew(rho, h) == wy_skew(rho, twin)
+        assert table_calls == [h, twin]
+
+    def test_explicit_decomposition_has_its_own_cache(self, table_calls):
+        rng = np.random.default_rng(34)
+        rho, h = random_density(4, rng), random_hermitian(4, rng)
+        other = hermitian_eigen(rho, Tolerances(reconstruction=1e-9))
+        assert other is not hermitian_eigen(rho)
+        assert wy_skew(rho, h) == wy_skew(rho, h, decomp=other)
+        wy_skew(rho, h, decomp=other)
+        assert len(table_calls) == 2
+
+    def test_cached_arrays_are_read_only(self):
+        rng = np.random.default_rng(35)
+        rho, h = random_density(4, rng), random_hermitian(4, rng)
+        _lam, w, row = quantities._pair_data(rho, h)
+        for arr in (w, row):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        d = hermitian_eigen(rho)
+        table = element_table(d, h)
+        assert table.weights is table.weights
+        assert not table.weights.flags.writeable
+        assert np.array_equal(table.weights, np.abs(table.entries) ** 2)
+
+    def test_entry_goes_away_with_the_observable(self):
+        rng = np.random.default_rng(36)
+        rho, h = random_density(4, rng), random_hermitian(4, rng)
+        wy_skew(rho, h)
+        cache = hermitian_eigen(rho).pair_cache
+        assert len(cache) == 1
+        del h
+        gc.collect()
+        assert len(cache) == 0
+
+    def test_failed_check_caches_nothing(self, table_calls):
+        rng = np.random.default_rng(37)
+        rho, h = random_density(4, rng), random_hermitian(3, rng)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                wy_skew(rho, h)
+        assert len(table_calls) == 2
+        assert len(hermitian_eigen(rho).pair_cache) == 0
+
+    def test_upper_pairs_are_shared_and_read_only(self):
+        for n in (2, 3, 17):
+            i, j = quantities._upper_pairs(n)
+            ref_i, ref_j = np.triu_indices(n, k=1)
+            assert np.array_equal(i, ref_i) and np.array_equal(j, ref_j)
+            assert not i.flags.writeable and not j.flags.writeable
+            assert quantities._upper_pairs(n)[0] is i
 
 
 class TestEigensum:
