@@ -25,8 +25,8 @@ from .functions import (
     triple_from_spec,
 )
 from .harness import (
+    INEQUALITIES,
     ConfigError,
-    InequalityId,
     _setting_from_entry,
     config_from_dict,
     run_campaign,
@@ -35,9 +35,6 @@ from .harness import (
 from .linalg import DomainError
 
 __all__ = ["main", "run", "load_default_config"]
-
-# Ids that cannot run without a function triple, so only --entry offers them.
-_TRIPLE_IDS = (InequalityId.THM31_FGH, InequalityId.COR41_PAIR)
 
 
 def _fmt(x: float) -> str:
@@ -177,8 +174,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="path to a campaign config (default: bundled campaign)")
     p.add_argument("--out", default=None, help="write the report to this path")
     p.add_argument("--format", choices=("json", "csv"), default=None)
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker processes (default: SKEWLAB_THREADS or 1)")
+    p.add_argument("--threads", type=int, default=1, help="worker processes (default: 1)")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("beta", help="ratio bounds and the corner coefficient of a triple")
@@ -206,7 +202,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("counterexample", help="hunt for a violating instance")
     which = p.add_mutually_exclusive_group(required=True)
-    which.add_argument("--id", choices=[i.value for i in InequalityId if i not in _TRIPLE_IDS],
+    plain = [i.value for i, record in INEQUALITIES.items() if record.functions is None]
+    which.add_argument("--id", choices=plain,
                        help="inequality id, with its parameters drawn per sample "
                             "(THM31_FGH and COR41_PAIR need their functions: use --entry)")
     which.add_argument("--entry",

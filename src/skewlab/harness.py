@@ -1,5 +1,12 @@
 """Randomized verification campaigns for the uncertainty-relation inequalities.
 
+Every fact about one inequality id lives in its ``Inequality`` record in
+``INEQUALITIES``: the kernel, the names of its per-sample parameters, how
+they are drawn and where they are valid, the entry keys it accepts, whether
+it takes a function triple or an (f, g) pair and the premise those must
+meet, and whether a PASS is expected. Campaigns, ``evaluate_inequality`` and
+``search_counterexample`` all evaluate through the same block path.
+
 Sampling is counter-based: every (dim, sample-index) pair owns a Philox
 stream, so campaigns are reproducible bit-for-bit regardless of how samples
 are partitioned across workers.
@@ -12,11 +19,10 @@ import functools
 import hashlib
 import json
 import math
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -59,6 +65,8 @@ from .quantities import (
 
 __all__ = [
     "InequalityId",
+    "Inequality",
+    "INEQUALITIES",
     "InequalitySetting",
     "CampaignConfig",
     "SampleRecord",
@@ -94,31 +102,21 @@ class InequalityId(enum.Enum):
     NAIVE_WY_SHOULD_FAIL = "NAIVE_WY_SHOULD_FAIL"
 
 
-# ids taking a single interpolation exponent vs ids with no parameters at all
-_ALPHA_IDS = {InequalityId.THM21_WYD, InequalityId.CHAIN_25, InequalityId.CHAIN_27}
-_PLAIN_IDS = {
-    InequalityId.HEISENBERG_21,
-    InequalityId.SCHRODINGER,
-    InequalityId.LUO_23,
-    InequalityId.CHAIN_24,
-    InequalityId.NAIVE_WY_SHOULD_FAIL,
-}
-
-
 @dataclass(frozen=True)
 class InequalitySetting:
     """One inequality to verify, plus its (possibly fixed) parameters.
 
     ``alpha`` may be a number (fixed), a tuple (cycled over sample indices)
-    or None (drawn uniformly from the id's valid range per sample). The
-    two-parameter family takes either fixed (alpha, beta) or a regime tag
-    restricting where the pair is drawn.
+    or None (drawn per sample by the id's sampler). The two-parameter
+    families take (alpha, beta) fixed whole or drawn whole; THM22_GWYD may
+    instead carry a regime tag restricting where the pair is drawn. Fixed
+    and cycled values must pass the id's domain check.
     """
 
     id: InequalityId
     alpha: float | tuple[float, ...] | None = None
     beta: float | None = None
-    regime: str | None = None            # THM22: "low" | "high" | "both"
+    regime: str | None = None            # "low" | "high" | "both"
     triple: FunctionTriple | None = None
     assert_pass: bool | None = None
 
@@ -129,44 +127,34 @@ class InequalitySetting:
             object.__setattr__(self, "alpha", tuple(float(x) for x in self.alpha))
         if self.beta is not None:
             object.__setattr__(self, "beta", float(self.beta))
-        ineq = self.id
-        if self.alpha is not None and ineq not in _ALPHA_IDS | {
-            InequalityId.THM22_GWYD,
-            InequalityId.THM23_TILDE,
-        }:
-            raise ConfigError(f"{ineq.value} takes no alpha parameter")
-        if self.beta is not None and ineq not in {
-            InequalityId.THM22_GWYD,
-            InequalityId.THM23_TILDE,
-        }:
-            raise ConfigError(f"{ineq.value} takes no beta parameter")
+        name, record = self.id.value, INEQUALITIES[self.id]
+        for param in ("alpha", "beta"):
+            if getattr(self, param) is not None and param not in record.params:
+                raise ConfigError(f"{name} takes no {param} parameter")
         if self.regime is not None:
-            if ineq is not InequalityId.THM22_GWYD:
-                raise ConfigError(f"{ineq.value} takes no regime tag")
+            if "regime" not in record.keys:
+                raise ConfigError(f"{name} takes no regime tag")
             if self.regime not in ("low", "high", "both"):
                 raise ConfigError(f"unknown regime {self.regime!r}")
-        if self.triple is not None and ineq not in (
-            InequalityId.THM31_FGH,
-            InequalityId.COR41_PAIR,
-        ):
-            raise ConfigError(f"{ineq.value} takes no function triple")
-        if ineq in (InequalityId.THM31_FGH, InequalityId.COR41_PAIR):
-            if self.triple is None:
-                raise ConfigError(f"{ineq.value} requires functions to evaluate")
-        if ineq in (InequalityId.THM22_GWYD, InequalityId.THM23_TILDE):
+        if self.triple is not None and record.functions is None:
+            raise ConfigError(f"{name} takes no function triple")
+        if self.triple is None and record.functions is not None:
+            raise ConfigError(f"{name} requires functions to evaluate")
+        fixed = [getattr(self, param) for param in record.params]
+        drawn = {value is None for value in fixed}
+        if len(fixed) > 1 and (len(drawn) > 1 or isinstance(self.alpha, tuple)):
             # a pair is either fixed whole or drawn whole; half of one would be ignored
-            if (self.alpha is None) != (self.beta is None) or isinstance(self.alpha, tuple):
-                raise ConfigError(
-                    f"fixed {ineq.value} parameters need scalar alpha and beta, set together"
-                )
-        if ineq is InequalityId.THM22_GWYD and self.alpha is not None:
-            _check_thm22_regime(self.alpha, self.beta)
+            raise ConfigError(
+                f"fixed {name} parameters need scalar alpha and beta, set together"
+            )
+        if drawn == {False}:
+            record.check(dict(zip(record.params, (np.asarray(v) for v in fixed))))
 
     @property
     def assertive(self) -> bool:
         if self.assert_pass is not None:
             return self.assert_pass
-        return self.id is not InequalityId.NAIVE_WY_SHOULD_FAIL
+        return INEQUALITIES[self.id].expect_pass
 
     def to_spec(self) -> dict:
         doc: dict = {"id": self.id.value}
@@ -177,7 +165,7 @@ class InequalitySetting:
         if self.regime is not None:
             doc["regime"] = self.regime
         if self.triple is not None:
-            if self.id is InequalityId.COR41_PAIR:
+            if INEQUALITIES[self.id].functions == "pair":
                 doc["f"] = function_to_spec(self.triple.f)
                 doc["g"] = function_to_spec(self.triple.g)
                 doc["eps"] = self.triple.eps
@@ -237,20 +225,6 @@ class CampaignConfig:
 
 
 _TOP_KEYS = {"seed", "dims", "samples_per_dim", "delta", "slack", "inequalities"}
-_ENTRY_KEYS = {
-    InequalityId.HEISENBERG_21: set(),
-    InequalityId.SCHRODINGER: set(),
-    InequalityId.LUO_23: set(),
-    InequalityId.THM21_WYD: {"alpha"},
-    InequalityId.THM22_GWYD: {"alpha", "beta", "regime"},
-    InequalityId.THM23_TILDE: {"alpha", "beta"},
-    InequalityId.THM31_FGH: {"triple"},
-    InequalityId.COR41_PAIR: {"f", "g", "eps"},
-    InequalityId.CHAIN_24: set(),
-    InequalityId.CHAIN_25: {"alpha"},
-    InequalityId.CHAIN_27: {"alpha"},
-    InequalityId.NAIVE_WY_SHOULD_FAIL: set(),
-}
 
 
 def _setting_from_entry(doc: dict) -> InequalitySetting:
@@ -265,14 +239,15 @@ def _setting_from_entry(doc: dict) -> InequalitySetting:
     assert_pass = doc.pop("assert_pass", None)
     if assert_pass is not None and not isinstance(assert_pass, bool):
         raise ConfigError("assert_pass must be a boolean")
-    unknown = set(doc) - _ENTRY_KEYS[ineq]
+    record = INEQUALITIES[ineq]
+    unknown = set(doc) - {*record.params, *record.keys}
     if unknown:
         raise ConfigError(f"unknown keys for {ineq.value}: {sorted(unknown)}")
     try:
         triple = None
-        if ineq is InequalityId.THM31_FGH:
+        if record.functions == "triple":
             triple = triple_from_spec(doc.pop("triple"))
-        elif ineq is InequalityId.COR41_PAIR:
+        elif record.functions == "pair":
             eps = float(doc.pop("eps", 1e-6))
             f = function_from_spec(doc.pop("f"), eps=eps)
             g = function_from_spec(doc.pop("g"), eps=eps)
@@ -384,6 +359,8 @@ def _matrix_rng(seed: int, dim: int, index: int) -> np.random.Generator:
 
 
 def _draw_sample(seed, dim, index, delta):
+    """One sample's (rho, A, B), drawn matrix by matrix through the public
+    samplers: the reference that ``_draw_block`` is tested against."""
     rng = _matrix_rng(seed, dim, index)
     rho = sample_density(dim, rng, delta)
     a = sample_observable(dim, rng)
@@ -477,60 +454,43 @@ class _TriplePlan:
     beta: float
 
 
-def _plan_triple(setting: InequalitySetting) -> _TriplePlan:
-    triple = setting.triple
+def _triple_plan(triple: FunctionTriple) -> _TriplePlan:
     assumption = check_assumption(triple)
-    if setting.id is InequalityId.THM31_FGH and assumption is Assumption.NEITHER:
+    if assumption is Assumption.NEITHER:
         raise ConfigError(
             "THM31_FGH requires the triple to satisfy one of the two "
             "divided-difference conditions; this one satisfies neither"
         )
-    if setting.id is InequalityId.COR41_PAIR:
-        kind, _, _ = classify_pair(triple.f, triple.g)
-        if kind is not PairClass.MONOTONE:
-            raise ConfigError("COR41_PAIR requires (f, g) to be a monotone pair")
-    return _TriplePlan(
-        triple=triple,
-        assumption=assumption,
-        beta=beta_coefficient(ratio_bounds(triple)),
-    )
+    return _TriplePlan(triple, assumption, beta_coefficient(ratio_bounds(triple)))
+
+
+def _pair_plan(triple: FunctionTriple) -> _TriplePlan:
+    assumption = check_assumption(triple)
+    kind, _, _ = classify_pair(triple.f, triple.g)
+    if kind is not PairClass.MONOTONE:
+        raise ConfigError("COR41_PAIR requires (f, g) to be a monotone pair")
+    return _TriplePlan(triple, assumption, beta_coefficient(ratio_bounds(triple)))
+
+
+def _plan(setting: InequalitySetting) -> _TriplePlan | None:
+    premise = INEQUALITIES[setting.id].premise
+    return None if premise is None else premise(setting.triple)
 
 
 def _block_params(
     setting: InequalitySetting, indices: np.ndarray, seed: int, dim: int, ordinal: int
 ) -> dict:
     """Fixed, cycled, or freshly drawn parameters, one array entry per sample."""
-    ineq = setting.id
-    size = len(indices)
-    if ineq in _PLAIN_IDS or ineq in (InequalityId.THM31_FGH, InequalityId.COR41_PAIR):
-        return {}
-    if ineq in _ALPHA_IDS:
-        if isinstance(setting.alpha, tuple):
-            return {"alpha": np.asarray(setting.alpha)[indices % len(setting.alpha)]}
-        if setting.alpha is not None:
-            return {"alpha": np.full(size, setting.alpha)}
-        return {"alpha": _param_draws(seed, dim, indices, ordinal)[:, 0]}
-    if ineq is InequalityId.THM22_GWYD:
-        if isinstance(setting.alpha, float) and setting.beta is not None:
-            return {"alpha": np.full(size, setting.alpha), "beta": np.full(size, setting.beta)}
-        u = _param_draws(seed, dim, indices, ordinal)
-        regime = setting.regime or "both"
-        low = (regime == "low") | ((regime == "both") & (u[:, 0] < 0.5))
-        s = np.where(low, 0.5 * u[:, 1], 1.0 + u[:, 1])
-        alpha = s * u[:, 2]
-        return {"alpha": alpha, "beta": s - alpha}
-    if ineq is InequalityId.THM23_TILDE:
-        if setting.alpha is not None and setting.beta is not None:
-            return {"alpha": np.full(size, setting.alpha), "beta": np.full(size, setting.beta)}
-        u = _param_draws(seed, dim, indices, ordinal)
-        return {"alpha": 0.05 + 1.95 * u[:, 0], "beta": 0.05 + 1.95 * u[:, 1]}
-    raise ConfigError(f"unhandled inequality {ineq}")
-
-
-def _resolve_params(setting: InequalitySetting, index: int, seed: int, dim: int, ordinal: int) -> dict:
-    """Fixed, cycled, or freshly drawn parameters for one sample."""
-    params = _block_params(setting, np.array([index]), seed, dim, ordinal)
-    return {name: float(values[0]) for name, values in params.items()}
+    record = INEQUALITIES[setting.id]
+    fixed = {name: getattr(setting, name) for name in record.params}
+    if None in fixed.values():
+        return record.sampler(_param_draws(seed, dim, indices, ordinal), setting)
+    return {
+        name: np.asarray(value)[indices % len(value)]
+        if isinstance(value, tuple)
+        else np.full(len(indices), value)
+        for name, value in fixed.items()
+    }
 
 
 # --------------------------------------------------------------------------
@@ -592,10 +552,21 @@ def _first(bad: np.ndarray, *arrays) -> tuple[float, ...]:
     return tuple(float(np.asarray(a).flat[k]) for a in arrays)
 
 
-def _check_thm22_regime(alpha, beta) -> None:
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    bad = (alpha < 0.0) | (beta < 0.0)
+# Domain checks: each raises ConfigError on the first parameter outside its
+# inequality's validity region, for one value or a block of them. Each tests
+# for membership, so a NaN fails it.
+
+
+def _check_unit_alpha(params: dict) -> None:
+    alpha = params["alpha"]
+    bad = ~((0.0 <= alpha) & (alpha <= 1.0))
+    if np.any(bad):
+        raise ConfigError(f"alpha must lie in [0, 1], got {_first(bad, alpha)[0]}")
+
+
+def _check_thm22(params: dict) -> None:
+    alpha, beta = params["alpha"], params["beta"]
+    bad = ~((alpha >= 0.0) & (beta >= 0.0))
     if np.any(bad):
         raise ConfigError(
             "THM22 exponents must be nonnegative: ({}, {})".format(*_first(bad, alpha, beta))
@@ -606,6 +577,33 @@ def _check_thm22_regime(alpha, beta) -> None:
         raise ConfigError(
             f"THM22 excludes 1/2 < alpha + beta < 1, got alpha + beta = {_first(bad, s)[0]}"
         )
+
+
+def _check_thm23(params: dict) -> None:
+    alpha, beta = params["alpha"], params["beta"]
+    bad = ~((alpha >= 0.0) & (beta >= 0.0) & (alpha * beta != 0.0))
+    if np.any(bad):
+        raise ConfigError("need alpha, beta > 0, got ({}, {})".format(*_first(bad, alpha, beta)))
+
+
+# Samplers: the uniform draws [S, 4] of each sample's parameter stream ->
+# per-sample parameter arrays inside the validity region.
+
+
+def _draw_unit_alpha(u: np.ndarray, setting: InequalitySetting) -> dict:
+    return {"alpha": u[:, 0]}
+
+
+def _draw_thm22(u: np.ndarray, setting: InequalitySetting) -> dict:
+    regime = setting.regime or "both"
+    low = (regime == "low") | ((regime == "both") & (u[:, 0] < 0.5))
+    s = np.where(low, 0.5 * u[:, 1], 1.0 + u[:, 1])
+    alpha = s * u[:, 2]
+    return {"alpha": alpha, "beta": s - alpha}
+
+
+def _draw_thm23(u: np.ndarray, setting: InequalitySetting) -> dict:
+    return {"alpha": 0.05 + 1.95 * u[:, 0], "beta": 0.05 + 1.95 * u[:, 1]}
 
 
 def _heisenberg(batch, params, plan):
@@ -629,24 +627,17 @@ def _naive(batch, params, plan):
 
 def _thm21(batch, params, plan):
     alpha = params["alpha"]
-    bad = ~((0.0 <= alpha) & (alpha <= 1.0))
-    if np.any(bad):
-        raise ValueError(f"alpha must lie in [0, 1], got {_first(bad, alpha)[0]}")
     lhs = batch.u_product(_wyd_ij, alpha)
     return lhs, alpha * (1.0 - alpha) * batch.comm_sq(batch.lam), {}
 
 
 def _thm22(batch, params, plan):
     alpha, beta = params["alpha"], params["beta"]
-    _check_thm22_regime(alpha, beta)
     return batch.u_product(_gwyd_ij, alpha, beta), alpha * beta * batch.comm_sq(batch.lam), {}
 
 
 def _thm23(batch, params, plan):
     alpha, beta = params["alpha"], params["beta"]
-    bad = (alpha < 0.0) | (beta < 0.0) | (alpha * beta == 0.0)
-    if np.any(bad):
-        raise ValueError("need alpha, beta > 0, got ({}, {})".format(*_first(bad, alpha, beta)))
     s = alpha + beta
     rhs = alpha * beta / s**2 * batch.comm_sq(_powers(batch.lam, s))
     return batch.u_product(_tilde_ij, alpha, beta), rhs, {}
@@ -691,21 +682,41 @@ def _chain27(batch, params, plan):
     )
 
 
-# One kernel per inequality: (batch, per-sample params, triple plan) ->
-# (lhs [S], rhs [S], extra params, each a per-sample array or one value).
-_KERNELS = {
-    InequalityId.HEISENBERG_21: _heisenberg,
-    InequalityId.SCHRODINGER: _schrodinger,
-    InequalityId.LUO_23: _luo23,
-    InequalityId.NAIVE_WY_SHOULD_FAIL: _naive,
-    InequalityId.THM21_WYD: _thm21,
-    InequalityId.THM22_GWYD: _thm22,
-    InequalityId.THM23_TILDE: _thm23,
-    InequalityId.THM31_FGH: _fgh,
-    InequalityId.COR41_PAIR: _fgh,
-    InequalityId.CHAIN_24: _chain24,
-    InequalityId.CHAIN_25: _chain25,
-    InequalityId.CHAIN_27: _chain27,
+_ALPHA = ("alpha",)
+_PAIR = ("alpha", "beta")
+
+
+@dataclass(frozen=True)
+class Inequality:
+    """Everything the harness knows about one inequality id."""
+
+    # (batch, per-sample params, triple plan) -> (lhs [S], rhs [S], extra
+    # params, each a per-sample array or one value)
+    kernel: Callable
+    params: tuple[str, ...] = ()       # names of the per-sample parameters
+    sampler: Callable | None = None    # (uniform draws [S, 4], setting) -> params
+    check: Callable | None = None      # params -> None, or raises ConfigError
+    keys: tuple[str, ...] = ()         # entry keys besides id, assert_pass and params
+    functions: str | None = None       # "triple", "pair", or None for no functions
+    premise: Callable | None = None    # triple -> _TriplePlan, or raises ConfigError
+    expect_pass: bool = True           # False: the bound fails by design
+
+
+INEQUALITIES: dict[InequalityId, Inequality] = {
+    InequalityId.HEISENBERG_21: Inequality(_heisenberg),
+    InequalityId.SCHRODINGER: Inequality(_schrodinger),
+    InequalityId.LUO_23: Inequality(_luo23),
+    InequalityId.THM21_WYD: Inequality(_thm21, _ALPHA, _draw_unit_alpha, _check_unit_alpha),
+    InequalityId.THM22_GWYD: Inequality(_thm22, _PAIR, _draw_thm22, _check_thm22, ("regime",)),
+    InequalityId.THM23_TILDE: Inequality(_thm23, _PAIR, _draw_thm23, _check_thm23),
+    InequalityId.THM31_FGH: Inequality(_fgh, keys=("triple",), functions="triple",
+                                       premise=_triple_plan),
+    InequalityId.COR41_PAIR: Inequality(_fgh, keys=("f", "g", "eps"), functions="pair",
+                                        premise=_pair_plan),
+    InequalityId.CHAIN_24: Inequality(_chain24),
+    InequalityId.CHAIN_25: Inequality(_chain25, _ALPHA, _draw_unit_alpha, _check_unit_alpha),
+    InequalityId.CHAIN_27: Inequality(_chain27, _ALPHA, _draw_unit_alpha, _check_unit_alpha),
+    InequalityId.NAIVE_WY_SHOULD_FAIL: Inequality(_naive, expect_pass=False),
 }
 
 
@@ -730,7 +741,10 @@ def _passes(margin, lhs, rhs, slack: float):
 
 
 def _evaluate_block(setting, batch: _Batch, params: dict, plan, slack: float) -> _EntryBlock:
-    lhs, rhs, extra = _KERNELS[setting.id](batch, params, plan)
+    record = INEQUALITIES[setting.id]
+    if record.check is not None:
+        record.check(params)
+    lhs, rhs, extra = record.kernel(batch, params, plan)
     margin = lhs - rhs
     return _EntryBlock(lhs, rhs, margin, _passes(margin, lhs, rhs, slack), {**params, **extra})
 
@@ -835,21 +849,6 @@ def _as_setting(setting: InequalitySetting | InequalityId | str) -> InequalitySe
     return setting
 
 
-def _evaluate_one(setting, plan, rho, a, b, params: dict, slack: float, index: int) -> SampleRecord:
-    """Evaluate one instance as a batch of one."""
-    decomp = hermitian_eigen(rho)
-    batch = _Batch(
-        decomp.eigenvalues[None],
-        element_table(decomp, a).entries[None],
-        element_table(decomp, b).entries[None],
-    )
-    one = {name: np.array([value]) for name, value in params.items()}
-    entry = _evaluate_block(setting, batch, one, plan, slack)
-    record = _record(setting, entry, 0, rho.dim, index)
-    record.state, record.obs_a, record.obs_b = np.asarray(rho), np.asarray(a), np.asarray(b)
-    return record
-
-
 def evaluate_inequality(
     setting: InequalitySetting | InequalityId | str,
     rho: DensityMatrix,
@@ -863,23 +862,29 @@ def evaluate_inequality(
     """Evaluate one inequality on explicit matrices.
 
     ``params`` supplies resolved numbers (e.g. {"alpha": 0.3}) where the
-    setting does not fix them. Regime guards are enforced here: parameters
-    outside an inequality's validity region raise instead of producing a
-    meaningless margin.
+    setting does not fix them; names the id does not take are ignored. The
+    id's domain check runs on them, so parameters outside the inequality's
+    validity region raise ConfigError instead of producing a meaningless
+    margin.
     """
     setting = _as_setting(setting)
-    plan = _plan_triple(setting) if setting.triple is not None else None
-    merged = dict(params or {})
-    if "alpha" not in merged and isinstance(setting.alpha, float):
-        merged["alpha"] = setting.alpha
-    if "beta" not in merged and setting.beta is not None:
-        merged["beta"] = setting.beta
-    if setting.id in _ALPHA_IDS and "alpha" not in merged:
-        raise ValueError(f"{setting.id.value} needs an 'alpha' parameter")
-    if setting.id in (InequalityId.THM22_GWYD, InequalityId.THM23_TILDE):
-        if "alpha" not in merged or "beta" not in merged:
-            raise ValueError(f"{setting.id.value} needs 'alpha' and 'beta'")
-    return _evaluate_one(setting, plan, rho, a, b, merged, slack, index)
+    plan = _plan(setting)
+    names = INEQUALITIES[setting.id].params
+    fixed = {name: getattr(setting, name) for name in names}
+    merged = {name: v for name, v in fixed.items() if isinstance(v, float)} | dict(params or {})
+    missing = [name for name in names if name not in merged]
+    if missing:
+        raise ValueError(f"{setting.id.value} needs {' and '.join(map(repr, missing))}")
+    decomp = hermitian_eigen(rho)
+    batch = _Batch(
+        decomp.eigenvalues[None],
+        element_table(decomp, a).entries[None],
+        element_table(decomp, b).entries[None],
+    )
+    one = {name: np.array([float(merged[name])]) for name in names}
+    record = _record(setting, _evaluate_block(setting, batch, one, plan, slack), 0, rho.dim, index)
+    record.state, record.obs_a, record.obs_b = np.asarray(rho), np.asarray(a), np.asarray(b)
+    return record
 
 
 # --------------------------------------------------------------------------
@@ -893,6 +898,7 @@ class InequalityStats:
     violations: int
     min_margin: float
     worst: SampleRecord
+    asserted: bool = True   # violations fail the campaign; not written to the report
 
     def to_json(self, *, matrix=matrix_to_json) -> dict:
         return {
@@ -935,14 +941,8 @@ class CampaignReport:
 
     @property
     def failed(self) -> bool:
-        """True when an assertive inequality recorded violations."""
-        for s in self.stats:
-            assertive = s.setting.get("assert_pass")
-            if assertive is None:
-                assertive = s.setting["id"] != InequalityId.NAIVE_WY_SHOULD_FAIL.value
-            if assertive and s.violations:
-                return True
-        return False
+        """True when an asserted inequality recorded violations."""
+        return any(s.asserted and s.violations for s in self.stats)
 
 
 def config_hash(config: CampaignConfig) -> str:
@@ -1013,19 +1013,14 @@ def _replay(config: CampaignConfig, picks) -> dict:
     return out
 
 
-def run_campaign(config: CampaignConfig, threads: int | None = None) -> CampaignReport:
+def run_campaign(config: CampaignConfig, threads: int = 1) -> CampaignReport:
     """Run every configured inequality over the sampled instances.
 
     Deterministic for a fixed config: the report (minus wall time) does not
-    depend on the worker count, which defaults to the SKEWLAB_THREADS
-    environment variable.
+    depend on the worker count.
     """
     t_start = time.perf_counter()
-    plans = [
-        _plan_triple(s) if s.triple is not None else None for s in config.inequalities
-    ]
-    if threads is None:
-        threads = int(os.environ.get("SKEWLAB_THREADS", "1") or "1")
+    plans = [_plan(s) for s in config.inequalities]
     threads = max(1, threads)
 
     tasks = _blocks(config)
@@ -1073,6 +1068,7 @@ def run_campaign(config: CampaignConfig, threads: int | None = None) -> Campaign
                 worst=_record(
                     setting, parts[part], offset, int(dims[worst]), int(indices[worst])
                 ),
+                asserted=setting.assertive,
             )
         )
 
@@ -1099,17 +1095,26 @@ def search_counterexample(
 ) -> SampleRecord | None:
     """Scan seeded samples for the first violating instance.
 
-    Returns the full violating record (matrices included), or None when the
-    budget is exhausted without a violation.
+    Samples 0 .. budget - 1 of one dimension are evaluated block by block,
+    exactly as a one-entry campaign over them would. Returns the first
+    violating record (matrices included), or None when the budget is
+    exhausted without a violation.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
     setting = _as_setting(setting)
-    plan = _plan_triple(setting) if setting.triple is not None else None
-    for idx in range(budget):
-        rho, a, b = _draw_sample(seed, dim, idx, delta)
-        params = _resolve_params(setting, idx, seed, dim, 0)
-        record = _evaluate_one(setting, plan, rho, a, b, params, slack, idx)
-        if not record.passed:
+    config = CampaignConfig(
+        seed=seed, dims=(dim,), samples_per_dim=budget, inequalities=(setting,),
+        delta=delta, slack=slack,
+    )
+    plans = [_plan(setting)]
+    for dim, start, stop in _blocks(config):
+        entry = _block_rows(config, plans, dim, start, stop)[0]
+        failed = np.flatnonzero(~entry.passed)
+        if len(failed):
+            k = int(failed[0])
+            record = _record(setting, entry, k, dim, start + k)
+            sample = _replay(config, {(dim, start + k)})[dim, start + k]
+            record.state, record.obs_a, record.obs_b = sample
             return record
     return None

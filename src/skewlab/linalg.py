@@ -18,11 +18,7 @@ __all__ = [
     "DensityMatrix",
     "SpectralDecomposition",
     "MatrixElementTable",
-    "adjoint",
-    "trace",
-    "frobenius_norm",
     "commutator",
-    "anticommutator",
     "hermitian_eigen",
     "hermitian_stack",
     "density_stack",
@@ -92,33 +88,12 @@ def _require_same_shape(x: np.ndarray, y: np.ndarray) -> None:
         raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
 
 
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a, dtype=complex).conj().T
-
-
-def trace(a) -> complex:
-    return complex(np.trace(np.asarray(a)))
-
-
-def frobenius_norm(a) -> float:
-    return float(np.linalg.norm(np.asarray(a)))
-
-
 def commutator(x, y) -> np.ndarray:
     """XY - YX."""
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     _require_same_shape(x, y)
     return x @ y - y @ x
-
-
-def anticommutator(x, y) -> np.ndarray:
-    """XY + YX."""
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    _require_same_shape(x, y)
-    return x @ y + y @ x
 
 
 class HermitianMatrix:

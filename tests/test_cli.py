@@ -111,6 +111,20 @@ class TestVerify:
         assert "PASS" not in captured.out
         assert "scalar alpha and beta" in captured.err
 
+    @pytest.mark.parametrize("entry", [
+        {"id": "CHAIN_27", "alpha": 1.5},
+        {"id": "CHAIN_25", "alpha": -0.5},
+        {"id": "THM21_WYD", "alpha": 1.5},
+    ])
+    def test_alpha_outside_unit_interval_exit_two(self, tmp_path, capsys, entry):
+        doc = dict(small_config_doc(), dims=[2, 3], samples_per_dim=50, inequalities=[entry])
+        out_path = tmp_path / "report.json"
+        assert main(["verify", write_config(tmp_path, doc), "--out", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert "VIOLATED" not in captured.out and "PASS" not in captured.out
+        assert "alpha must lie in [0, 1]" in captured.err
+        assert not out_path.exists()
+
     def test_missing_file_exit_two(self):
         assert main(["verify", "/nonexistent/config.json"]) == 2
 
@@ -285,6 +299,19 @@ class TestCounterexample:
     def test_bad_entry_exit_two(self, capsys, argv, message):
         assert main(["counterexample", "--budget", "5", *argv]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--seed", "-1"], "seed must be a 64-bit unsigned integer"),
+        (["--seed", str(2**64)], "seed must be a 64-bit unsigned integer"),
+        (["--dim", "2000000"], "dims above 4095 are not supported"),
+        (["--dim", "5000"], "dims above 4095 are not supported"),
+    ])
+    def test_out_of_range_seed_or_dim_exit_two(self, capsys, argv, message):
+        assert main(["counterexample", "--id", "NAIVE_WY_SHOULD_FAIL", "--budget", "5",
+                     *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
 
 @pytest.mark.parametrize("module", ["skewlab", "skewlab.cli"])

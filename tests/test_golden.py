@@ -10,6 +10,7 @@ case's (dim, index) must match it exactly; margins may move by rounding.
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from skewlab import cli, harness
@@ -81,7 +82,8 @@ def test_evaluate_inequality_agrees_with_campaign_rows(config, report):
         for dim, idx in sorted(picks):
             _, _, _, lhs, rhs, margin, passed = rows[(dim, idx)]
             rho, a, b = harness._draw_sample(config.seed, dim, idx, config.delta)
-            params = harness._resolve_params(setting, idx, config.seed, dim, ordinal)
+            params = harness._block_params(setting, np.array([idx]), config.seed, dim, ordinal)
+            params = {name: float(v[0]) for name, v in params.items()}
             rec = harness.evaluate_inequality(setting, rho, a, b, params=params,
                                               slack=config.slack, index=idx)
             tol = 1e-12 * max(abs(lhs), abs(rhs))

@@ -9,15 +9,16 @@ from skewlab import harness
 from skewlab.cli import load_default_config
 from skewlab.harness import (
     _PARAM_SALT,
+    INEQUALITIES,
     CampaignConfig,
     ConfigError,
     InequalityId,
     InequalitySetting,
+    _block_params,
     _draw_block,
     _draw_sample,
     _matrix_rng,
     _param_draws,
-    _resolve_params,
     config_from_dict,
     evaluate_inequality,
     run_campaign,
@@ -215,30 +216,25 @@ class TestEvaluate:
 class TestParamResolution:
     def test_thm22_never_in_excluded_band(self):
         setting = InequalitySetting(id=InequalityId.THM22_GWYD, regime="both")
-        for idx in range(500):
-            p = _resolve_params(setting, idx, seed=3, dim=2, ordinal=0)
-            s = p["alpha"] + p["beta"]
-            assert not (0.5 < s < 1.0)
-            assert p["alpha"] >= 0 and p["beta"] >= 0
+        p = _block_params(setting, np.arange(500), seed=3, dim=2, ordinal=0)
+        s = p["alpha"] + p["beta"]
+        assert not np.any((0.5 < s) & (s < 1.0))
+        assert np.all(p["alpha"] >= 0) and np.all(p["beta"] >= 0)
 
     def test_regime_low_high(self):
         low = InequalitySetting(id=InequalityId.THM22_GWYD, regime="low")
         high = InequalitySetting(id=InequalityId.THM22_GWYD, regime="high")
-        for idx in range(100):
-            p = _resolve_params(low, idx, seed=3, dim=2, ordinal=0)
-            assert p["alpha"] + p["beta"] <= 0.5
-            p = _resolve_params(high, idx, seed=3, dim=2, ordinal=0)
-            assert 1.0 <= p["alpha"] + p["beta"] <= 2.0
+        p = _block_params(low, np.arange(100), seed=3, dim=2, ordinal=0)
+        assert np.all(p["alpha"] + p["beta"] <= 0.5)
+        p = _block_params(high, np.arange(100), seed=3, dim=2, ordinal=0)
+        assert np.all((1.0 <= p["alpha"] + p["beta"]) & (p["alpha"] + p["beta"] <= 2.0))
 
     def test_alpha_grid_cycles(self):
         setting = InequalitySetting(
             id=InequalityId.THM21_WYD, alpha=(0.1, 0.2, 0.3)
         )
-        vals = [
-            _resolve_params(setting, idx, seed=0, dim=2, ordinal=0)["alpha"]
-            for idx in range(6)
-        ]
-        assert vals == [0.1, 0.2, 0.3, 0.1, 0.2, 0.3]
+        vals = _block_params(setting, np.arange(6), seed=0, dim=2, ordinal=0)["alpha"]
+        assert vals.tolist() == [0.1, 0.2, 0.3, 0.1, 0.2, 0.3]
 
     def test_vectorized_philox_matches_numpy(self):
         # keys with the top bits of every field set
@@ -255,9 +251,9 @@ class TestParamResolution:
 
     def test_param_draws_schedule_independent(self):
         setting = InequalitySetting(id=InequalityId.THM21_WYD)
-        a1 = _resolve_params(setting, 17, seed=9, dim=3, ordinal=2)
-        a2 = _resolve_params(setting, 17, seed=9, dim=3, ordinal=2)
-        assert a1 == a2
+        a1 = _block_params(setting, np.array([17]), seed=9, dim=3, ordinal=2)
+        a2 = _block_params(setting, np.arange(10, 30), seed=9, dim=3, ordinal=2)
+        assert a1["alpha"][0] == a2["alpha"][7]
 
 
 class TestConfig:
@@ -275,6 +271,31 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown inequality id"):
             config_from_dict({"seed": 1, "dims": [2], "samples_per_dim": 1,
                               "inequalities": [{"id": "THM99"}]})
+
+    @pytest.mark.parametrize("entry", [
+        {"id": "CHAIN_27", "alpha": 1.5},
+        {"id": "CHAIN_25", "alpha": 1.5},
+        {"id": "CHAIN_25", "alpha": -0.5},
+        {"id": "THM21_WYD", "alpha": 1.5},
+        {"id": "THM21_WYD", "alpha": [0.2, 0.5, 1.5]},
+    ])
+    def test_alpha_outside_unit_interval_rejected_in_config(self, entry):
+        with pytest.raises(ConfigError, match=r"alpha must lie in \[0, 1\]"):
+            config_from_dict({"seed": 1, "dims": [2, 3], "samples_per_dim": 50,
+                              "inequalities": [entry]})
+
+    @pytest.mark.parametrize("entry", [
+        {"id": "THM21_WYD", "alpha": float("nan")},
+        {"id": "THM22_GWYD", "alpha": float("nan"), "beta": 0.2},
+        {"id": "THM23_TILDE", "alpha": 0.5, "beta": float("nan")},
+    ])
+    def test_nan_exponent_rejected_in_config(self, entry):
+        with pytest.raises(ConfigError, match="nan"):
+            config_from_dict({"seed": 1, "dims": [2], "samples_per_dim": 30,
+                              "inequalities": [entry]})
+
+    def test_one_record_per_id(self):
+        assert list(INEQUALITIES) == list(InequalityId)
 
     def test_thm22_band_rejected_in_config(self):
         with pytest.raises(ConfigError, match="excludes"):
@@ -302,9 +323,10 @@ class TestConfig:
             "inequalities": [{"id": "THM23_TILDE", "alpha": 0.3, "beta": 1.5}],
         })
         setting = config.inequalities[0]
-        for idx in range(3):
-            params = _resolve_params(setting, idx, seed=1, dim=2, ordinal=0)
-            assert params == {"alpha": 0.3, "beta": 1.5}
+        params = _block_params(setting, np.arange(3), seed=1, dim=2, ordinal=0)
+        assert {name: v.tolist() for name, v in params.items()} == {
+            "alpha": [0.3] * 3, "beta": [1.5] * 3
+        }
 
     def test_triple_required(self):
         with pytest.raises(ConfigError, match="misses"):
@@ -447,3 +469,39 @@ class TestCounterexample:
     def test_budget_validation(self):
         with pytest.raises(ValueError, match="budget"):
             search_counterexample("NAIVE_WY_SHOULD_FAIL", budget=0, seed=0)
+
+
+def _first_violation_one_by_one(setting, budget, seed, dim, delta=1e-3, slack=1e-9):
+    """The per-sample reference scan: draw, resolve parameters and evaluate
+    each index in turn, and stop at the first failure."""
+    for idx in range(budget):
+        rho, a, b = _draw_sample(seed, dim, idx, delta)
+        params = _block_params(setting, np.array([idx]), seed, dim, 0)
+        params = {name: float(v[0]) for name, v in params.items()}
+        record = evaluate_inequality(setting, rho, a, b, params=params, slack=slack, index=idx)
+        if not record.passed:
+            return record
+    return None
+
+
+# A dim-8 block holds 256 samples, so the dim-8 budgets span several blocks
+# and the NAIVE hit there (index 561) lies in the third. At dim 2 the hit is
+# index 0 of one 300-sample block.
+@pytest.mark.parametrize("ineq, budget, seed, dim", [
+    ("NAIVE_WY_SHOULD_FAIL", 700, 1, 8),
+    ("NAIVE_WY_SHOULD_FAIL", 300, 0, 2),
+    ("THM21_WYD", 600, 0, 8),
+])
+def test_block_scan_matches_per_sample_reference(ineq, budget, seed, dim):
+    setting = InequalitySetting(id=InequalityId(ineq))
+    got = search_counterexample(setting, budget=budget, seed=seed, dim=dim)
+    want = _first_violation_one_by_one(setting, budget, seed, dim)
+    if want is None:
+        assert got is None
+        return
+    assert (got.index, got.dim, got.lhs, got.rhs, got.margin, got.params) == (
+        want.index, want.dim, want.lhs, want.rhs, want.margin, want.params
+    )
+    for mine, theirs in zip((got.state, got.obs_a, got.obs_b),
+                            (want.state, want.obs_a, want.obs_b)):
+        assert mine.tobytes() == theirs.tobytes()

@@ -9,17 +9,13 @@ from skewlab.linalg import (
     EigenDecompositionError,
     HermitianMatrix,
     Tolerances,
-    adjoint,
-    anticommutator,
     apply_scalar_function,
     center_observable,
     commutator,
     element_table,
-    frobenius_norm,
     hermitian_eigen,
     matrix_from_json,
     matrix_to_json,
-    trace,
 )
 from skewlab.functions import Power
 
@@ -47,30 +43,6 @@ def haar_unitary(n, rng):
 
 
 class TestBasicOps:
-    def test_adjoint_identity(self):
-        np.testing.assert_array_equal(adjoint(np.eye(3)), np.eye(3))
-
-    def test_adjoint_example(self):
-        a = np.array([[0, 1j], [0, 0]])
-        np.testing.assert_array_equal(adjoint(a), np.array([[0, 0], [-1j, 0]]))
-
-    def test_adjoint_involution(self):
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        np.testing.assert_array_equal(adjoint(adjoint(a)), a)
-
-    def test_trace_identity(self):
-        assert trace(np.eye(3)) == 3
-
-    def test_trace_cyclicity(self):
-        rng = np.random.default_rng(2)
-        a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        b = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        assert abs(trace(a @ b) - trace(b @ a)) < 1e-12
-
-    def test_frobenius(self):
-        assert frobenius_norm(np.diag([3.0, 4.0])) == pytest.approx(5.0)
-
     def test_commutator_pauli(self):
         np.testing.assert_allclose(commutator(SX, SY), 2j * SZ, atol=1e-15)
 
@@ -81,21 +53,6 @@ class TestBasicOps:
     def test_commutator_diagonals(self):
         np.testing.assert_allclose(
             commutator(np.diag([1.0, 2.0]), np.diag([3.0, 4.0])), 0, atol=1e-15
-        )
-
-    def test_anticommutator_pauli(self):
-        np.testing.assert_allclose(anticommutator(SX, SY), 0, atol=1e-15)
-
-    def test_anticommutator_identity(self):
-        a = random_hermitian(3, np.random.default_rng(4))
-        np.testing.assert_allclose(anticommutator(np.eye(3), a), 2 * a, atol=1e-15)
-
-    def test_anticommutator_commutator_identity(self):
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        y = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        np.testing.assert_allclose(
-            anticommutator(x, y) + commutator(x, y), 2 * x @ y, atol=1e-12
         )
 
     def test_dimension_mismatch(self):
