@@ -14,7 +14,6 @@ from .functions import (
     check_assumption,
     classify_pair,
     cor41_beta,
-    corner_function,
     function_from_spec,
     l_scan_min,
     l_value,
@@ -35,20 +34,14 @@ from .harness import (
     run_campaign,
     sample_density,
     sample_observable,
-    sample_unitary,
     search_counterexample,
 )
 from .linalg import (
-    DEFAULT_TOLERANCES,
     DensityMatrix,
     DomainError,
     HermitianMatrix,
     MatrixElementTable,
     SpectralDecomposition,
-    Tolerances,
-    apply_scalar_function,
-    center_observable,
-    commutator,
     element_table,
     hermitian_eigen,
     matrix_from_json,

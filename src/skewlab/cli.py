@@ -61,13 +61,6 @@ def _cmd_verify(args) -> int:
     else:
         with open(args.config, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    doc = dict(doc)
-    out_path = args.out or doc.pop("out", None)
-    out_format = args.format or doc.pop("format", "json")
-    if out_format not in ("json", "csv"):
-        raise ConfigError(f"unknown report format {out_format!r}")
     config = config_from_dict(doc)
 
     report = run_campaign(config, threads=args.threads)
@@ -77,15 +70,15 @@ def _cmd_verify(args) -> int:
             f"{status} {stats.setting['id']}: samples={stats.samples} "
             f"violations={stats.violations} min_margin={_fmt(stats.min_margin)}"
         )
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            if out_format == "json":
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            if args.format == "json":
                 fh.write(report.to_json_text())
                 fh.write("\n")
             else:
                 for row in report.csv_rows():
                     fh.write(row + "\n")
-        print(f"report written to {out_path} ({out_format})")
+        print(f"report written to {args.out} ({args.format})")
     return 1 if report.failed else 0
 
 
@@ -173,7 +166,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", nargs="?", default=None,
                    help="path to a campaign config (default: bundled campaign)")
     p.add_argument("--out", default=None, help="write the report to this path")
-    p.add_argument("--format", choices=("json", "csv"), default=None)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--threads", type=int, default=1, help="worker processes (default: 1)")
     p.set_defaults(fn=_cmd_verify)
 

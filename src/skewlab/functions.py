@@ -34,7 +34,6 @@ __all__ = [
     "ratio_bounds",
     "beta_coefficient",
     "cor41_beta",
-    "corner_function",
     "l_value",
     "l_scan_min",
     "LScanResult",
@@ -51,6 +50,8 @@ DEFAULT_EPS = 1e-6
 RATIO_GRID = 10_000   # grid for inf/sup of log-derivative ratios
 PAIR_GRID = 512       # grid for the pairwise sign / divided-difference checks
 _PAIR_BLOCK = 1 << 16  # grid pairs evaluated at once by the pairwise scans
+_PAIR_TOL = 1e-12      # slack on the pair products, ratio signs and divided differences
+_LEMMA41_SLACK = 1e-12  # relative slack on the scalar inequality's margins
 
 
 class ScalarFunction:
@@ -84,9 +85,6 @@ class ScalarFunction:
             )
         if x.size and float(x.max()) > 1.0 + 1e-12:
             raise DomainError(f"argument {float(x.max()):.6f} above domain [eps, 1]")
-
-    def grid(self, k: int) -> np.ndarray:
-        return np.linspace(self.eps, 1.0, k)
 
 
 @dataclass(frozen=True)
@@ -339,7 +337,7 @@ def _ratio_extrema(f: ScalarFunction, g: ScalarFunction, k: int) -> tuple[float,
     return (float(ratio.min()), float(ratio.max()))
 
 
-def _pair_condition(fv: np.ndarray, gv: np.ndarray, sign: int, tol: float = 1e-12) -> bool:
+def _pair_condition(fv: np.ndarray, gv: np.ndarray, sign: int, tol: float = _PAIR_TOL) -> bool:
     """True when sign * (f(x)-f(y)) * (g(x)-g(y)) >= -tol for every grid pair.
 
     Exact pass first, in O(n log n): sort by f and demand that sign * g be
@@ -374,10 +372,7 @@ def _pair_condition(fv: np.ndarray, gv: np.ndarray, sign: int, tol: float = 1e-1
 
 
 def classify_pair(
-    f: ScalarFunction,
-    g: ScalarFunction,
-    k: int = RATIO_GRID,
-    tol: float = 1e-12,
+    f: ScalarFunction, g: ScalarFunction, k: int = RATIO_GRID
 ) -> tuple[PairClass, float, float]:
     """Classify (f, g) as a monotone pair, an anti-monotone pair, or neither.
 
@@ -392,9 +387,9 @@ def classify_pair(
     grid = np.linspace(max(f.eps, g.eps), 1.0, k)
     fv = np.asarray(f.value(grid), dtype=float)
     gv = np.asarray(g.value(grid), dtype=float)
-    if _pair_condition(fv, gv, +1, tol) and m >= -tol:
+    if _pair_condition(fv, gv, +1) and m >= -_PAIR_TOL:
         return (PairClass.MONOTONE, m, big_m)
-    if _pair_condition(fv, gv, -1, tol) and big_m <= tol:
+    if _pair_condition(fv, gv, -1) and big_m <= _PAIR_TOL:
         return (PairClass.ANTI_MONOTONE, m, big_m)
     return (PairClass.NEITHER, m, big_m)
 
@@ -405,11 +400,7 @@ def ratio_bounds(triple: FunctionTriple, k: int = RATIO_GRID) -> RatioBounds:
     return RatioBounds(m_g=m_g, M_g=M_g, m_h=m_h, M_h=M_h, grid_size=k)
 
 
-def check_assumption(
-    triple: FunctionTriple,
-    k_pairs: int = PAIR_GRID,
-    tol: float = 1e-12,
-) -> Assumption:
+def check_assumption(triple: FunctionTriple, k_pairs: int = PAIR_GRID) -> Assumption:
     """Decide which divided-difference condition the triple satisfies.
 
     Condition I: (f,g) and (f,h) are monotone pairs with
@@ -426,11 +417,11 @@ def check_assumption(
 
     m_g, M_g = _ratio_extrema(f, g, RATIO_GRID)
     m_h, M_h = _ratio_extrema(f, h, RATIO_GRID)
-    fg_mono = _pair_condition(fv, gv, +1, tol) and m_g >= -tol
+    fg_mono = _pair_condition(fv, gv, +1) and m_g >= -_PAIR_TOL
     if not fg_mono:
         return Assumption.NEITHER
-    fh_mono = _pair_condition(fv, hv, +1, tol) and m_h >= -tol
-    fh_anti = _pair_condition(fv, hv, -1, tol) and M_h <= tol
+    fh_mono = _pair_condition(fv, hv, +1) and m_h >= -_PAIR_TOL
+    fh_anti = _pair_condition(fv, hv, -1) and M_h <= _PAIR_TOL
 
     lf = np.asarray(f.log_value(grid), dtype=float)
     lg = np.asarray(g.log_value(grid), dtype=float)
@@ -449,8 +440,8 @@ def check_assumption(
             raise ValueError("f is not strictly increasing on the grid")
         r_g = (lg[j] - lg[i]) / d_f
         r_h = (lh[j] - lh[i]) / d_f
-        cond_i = cond_i and bool(np.all(1.0 + r_g <= r_h + tol))
-        cond_ii = cond_ii and bool(np.all(1.0 + r_g + r_h >= -tol))
+        cond_i = cond_i and bool(np.all(1.0 + r_g <= r_h + _PAIR_TOL))
+        cond_ii = cond_ii and bool(np.all(1.0 + r_g + r_h >= -_PAIR_TOL))
 
     if cond_i:
         return Assumption.I
@@ -488,28 +479,6 @@ def cor41_beta(m: float, big_m: float) -> float:
     if abs(den) <= 1e-12:
         raise ValueError("degenerate denominator: m + M vanishes")
     return min(m / den**2, big_m / den**2)
-
-
-def corner_function(r_base, k: float, ell: float):
-    """(R^2-1)(R^2k-1)(R^l+1)^2 / (R^(1+k+l)-1)^2 for R > 0, continued through
-    R = 1 by its limit 16k/(1+k+l)^2.
-
-    Evaluated through expm1 of s = log(R) so the R -> 1 cancellation is benign.
-    """
-    if abs(1.0 + k + ell) <= 1e-12:
-        raise ValueError("degenerate exponent: 1 + k + l vanishes")
-    r_arr = np.asarray(r_base, dtype=float)
-    if np.any(r_arr <= 0.0):
-        raise ValueError("R must be positive")
-    s = np.log(r_arr)
-    limit = 16.0 * k / (1.0 + k + ell) ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        num = np.expm1(2.0 * s) * np.expm1(2.0 * k * s) * (np.exp(ell * s) + 1.0) ** 2
-        den = np.expm1((1.0 + k + ell) * s) ** 2
-        out = np.where(s == 0.0, limit, num / np.where(den == 0.0, 1.0, den))
-    if out.ndim == 0:
-        return float(out)
-    return out
 
 
 def l_value(triple: FunctionTriple, x: float, y: float) -> float:
@@ -638,7 +607,6 @@ def lemma41_check(
     *,
     rmax: float = 10.0,
     steps: int = 2000,
-    slack: float = 1e-12,
 ) -> Lemma41Report:
     """Margins of the scalar exponential inequality over an r grid.
 
@@ -646,7 +614,7 @@ def lemma41_check(
     (a, b, c >= 0 with 0 < a + b <= c, or a, b >= 0, c <= 0 with
     a + b + c > 0). The band |r| < 1e-4 is excluded from the grid to avoid
     cancellation; the r -> 0 limit is checked separately. A margin below
-    -slack * max(1, rhs) counts as a violation, which absorbs float noise on
+    -1e-12 * max(1, rhs) counts as a violation, which absorbs float noise on
     the equality family (a == b with c == a + b makes the margin identically
     zero).
     """
@@ -663,7 +631,7 @@ def lemma41_check(
     rhs = 16.0 * a * b / (a + b + c) ** 2
     margins = np.asarray(lemma41_lhs(a, b, c, r_grid), dtype=float) - rhs
     worst = int(np.argmin(margins))
-    violations = int(np.sum(margins < -slack * max(1.0, rhs)))
+    violations = int(np.sum(margins < -_LEMMA41_SLACK * max(1.0, rhs)))
     limit_gap = abs(float(lemma41_lhs(a, b, c, 1e-6)) - rhs)
     return Lemma41Report(
         a=a,

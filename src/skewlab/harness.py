@@ -42,7 +42,6 @@ from .functions import (
 )
 from .linalg import (
     DensityMatrix,
-    DomainError,
     HermitianMatrix,
     density_stack,
     eigh_stack,
@@ -56,10 +55,12 @@ from .linalg import (
 from .quantities import (
     _fgh_ij,
     _gwyd_ij,
+    _luo_u,
     _powers,
     _tilde_ij,
     _total,
     _triple_values,
+    _u_value,
     _wyd_ij,
 )
 
@@ -75,7 +76,6 @@ __all__ = [
     "ConfigError",
     "sample_density",
     "sample_observable",
-    "sample_unitary",
     "evaluate_inequality",
     "run_campaign",
     "search_counterexample",
@@ -131,6 +131,8 @@ class InequalitySetting:
         for param in ("alpha", "beta"):
             if getattr(self, param) is not None and param not in record.params:
                 raise ConfigError(f"{name} takes no {param} parameter")
+        if self.alpha == ():
+            raise ConfigError(f"{name}: a cycled alpha needs at least one value")
         if self.regime is not None:
             if "regime" not in record.keys:
                 raise ConfigError(f"{name} takes no regime tag")
@@ -339,14 +341,6 @@ def sample_observable(n: int, rng: np.random.Generator, scale: float = 1.0) -> H
     return HermitianMatrix(_observable_from(scale * _ginibre(n, rng)))
 
 
-def sample_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish random unitary from the QR factorization of a Gaussian matrix."""
-    q, r = np.linalg.qr(_ginibre(n, rng))
-    phases = np.diag(r).copy()
-    phases /= np.abs(phases)
-    return q * phases
-
-
 _PARAM_SALT = 0xA5A5_5A5A_DEAD_BEEF
 
 
@@ -454,27 +448,30 @@ class _TriplePlan:
     beta: float
 
 
-def _triple_plan(triple: FunctionTriple) -> _TriplePlan:
+def _triple_premise(triple: FunctionTriple) -> Assumption:
     assumption = check_assumption(triple)
     if assumption is Assumption.NEITHER:
         raise ConfigError(
             "THM31_FGH requires the triple to satisfy one of the two "
             "divided-difference conditions; this one satisfies neither"
         )
-    return _TriplePlan(triple, assumption, beta_coefficient(ratio_bounds(triple)))
+    return assumption
 
 
-def _pair_plan(triple: FunctionTriple) -> _TriplePlan:
+def _pair_premise(triple: FunctionTriple) -> Assumption:
     assumption = check_assumption(triple)
     kind, _, _ = classify_pair(triple.f, triple.g)
     if kind is not PairClass.MONOTONE:
         raise ConfigError("COR41_PAIR requires (f, g) to be a monotone pair")
-    return _TriplePlan(triple, assumption, beta_coefficient(ratio_bounds(triple)))
+    return assumption
 
 
 def _plan(setting: InequalitySetting) -> _TriplePlan | None:
     premise = INEQUALITIES[setting.id].premise
-    return None if premise is None else premise(setting.triple)
+    if premise is None:
+        return None
+    triple = setting.triple
+    return _TriplePlan(triple, premise(triple), beta_coefficient(ratio_bounds(triple)))
 
 
 def _block_params(
@@ -530,13 +527,7 @@ class _Batch:
         return self.wyd(0, 0.5), self.wyd(1, 0.5)
 
     def luo_u(self, k: int) -> np.ndarray:
-        v = self.var[k]
-        i_val = np.maximum(self.half[k][0], 0.0)
-        return np.sqrt(np.maximum(v**2 - (v - i_val) ** 2, 0.0))
-
-
-def _u_value(i_val, j_val):
-    return np.sqrt(np.maximum(i_val, 0.0) * np.maximum(j_val, 0.0))
+        return _luo_u(self.var[k], self.half[k][0])[0]
 
 
 def _chain(values, links):
@@ -644,14 +635,7 @@ def _thm23(batch, params, plan):
 
 
 def _fgh(batch, params, plan):
-    lam = batch.lam
-    eps = plan.triple.eps
-    if np.any(lam[:, -1] < eps):
-        raise DomainError(
-            f"smallest eigenvalue {float(lam[:, -1].min()):.3e} is below the "
-            f"triple's domain floor {eps:.1e}"
-        )
-    fv, gv, hv = _triple_values(plan.triple, lam)
+    fv, gv, hv = _triple_values(plan.triple, batch.lam)
     lhs = _u_value(*_fgh_ij(batch.w[0], batch.row[0], fv, gv, hv)) * _u_value(
         *_fgh_ij(batch.w[1], batch.row[1], fv, gv, hv)
     )
@@ -698,7 +682,7 @@ class Inequality:
     check: Callable | None = None      # params -> None, or raises ConfigError
     keys: tuple[str, ...] = ()         # entry keys besides id, assert_pass and params
     functions: str | None = None       # "triple", "pair", or None for no functions
-    premise: Callable | None = None    # triple -> _TriplePlan, or raises ConfigError
+    premise: Callable | None = None    # triple -> its Assumption, or raises ConfigError
     expect_pass: bool = True           # False: the bound fails by design
 
 
@@ -710,9 +694,9 @@ INEQUALITIES: dict[InequalityId, Inequality] = {
     InequalityId.THM22_GWYD: Inequality(_thm22, _PAIR, _draw_thm22, _check_thm22, ("regime",)),
     InequalityId.THM23_TILDE: Inequality(_thm23, _PAIR, _draw_thm23, _check_thm23),
     InequalityId.THM31_FGH: Inequality(_fgh, keys=("triple",), functions="triple",
-                                       premise=_triple_plan),
+                                       premise=_triple_premise),
     InequalityId.COR41_PAIR: Inequality(_fgh, keys=("f", "g", "eps"), functions="pair",
-                                        premise=_pair_plan),
+                                        premise=_pair_premise),
     InequalityId.CHAIN_24: Inequality(_chain24),
     InequalityId.CHAIN_25: Inequality(_chain25, _ALPHA, _draw_unit_alpha, _check_unit_alpha),
     InequalityId.CHAIN_27: Inequality(_chain27, _ALPHA, _draw_unit_alpha, _check_unit_alpha),
@@ -978,7 +962,7 @@ def _block_rows(config: CampaignConfig, plans, dim: int, start: int, stop: int):
     indices = np.arange(start, stop)
     rho, a, b = _draw_block(config.seed, dim, indices, config.delta)
     lam, vectors = eigh_stack(rho, density=True)
-    batch = _Batch(lam, element_tables(lam, vectors, a)[0], element_tables(lam, vectors, b)[0])
+    batch = _Batch(lam, element_tables(lam, vectors, a), element_tables(lam, vectors, b))
     return [
         _evaluate_block(
             setting,

@@ -1,5 +1,6 @@
 """Complex matrix plumbing shared by every other module: Hermitian and
-density-matrix types, eigendecomposition, and spectral function calculus."""
+density-matrix types, checked eigendecomposition, and observables in a
+state's eigenbasis."""
 
 from __future__ import annotations
 
@@ -10,44 +11,31 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "Tolerances",
-    "DEFAULT_TOLERANCES",
     "DomainError",
     "EigenDecompositionError",
     "HermitianMatrix",
     "DensityMatrix",
     "SpectralDecomposition",
     "MatrixElementTable",
-    "commutator",
     "hermitian_eigen",
     "hermitian_stack",
     "density_stack",
     "eigh_stack",
     "element_tables",
-    "apply_scalar_function",
-    "center_observable",
     "element_table",
     "matrix_to_json",
     "matrix_json_text",
     "matrix_from_json",
 ]
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Central numerical thresholds; every invariant check reads from here."""
-
-    hermitian_asymmetry: float = 1e-8   # rejection level for non-self-adjoint input
-    trace_one: float = 1e-12
-    positivity_floor: float = 1e-8      # smallest admissible density eigenvalue
-    reconstruction: float = 1e-10       # scaled by n * ||A||_F
-    orthonormality: float = 1e-10       # scaled by n
-    eigenvalue_sum: float = 1e-10       # |sum(eigenvalues) - 1| for density sources
-    element_symmetry: float = 1e-12
-    domain_slack: float = 1e-12         # slack on the [eps, 1] eigenvalue domain
-
-
-DEFAULT_TOLERANCES = Tolerances()
+# Numerical thresholds, fixed: every invariant check reads its level here.
+ASYMMETRY_TOL = 1e-8          # ||A - A†|| over max(1, ||A||): non-self-adjoint input
+TRACE_TOL = 1e-12             # |Tr rho - 1| of a state
+POSITIVITY_FLOOR = 1e-8       # smallest admissible density eigenvalue
+RECONSTRUCTION_TOL = 1e-10    # eigendecomposition residual, scaled by n * ||A||_F
+ORTHONORMALITY_TOL = 1e-10    # eigenvector orthonormality residual, scaled by n
+EIGENVALUE_SUM_TOL = 1e-10    # |sum(eigenvalues) - 1| of a state's spectrum
+ELEMENT_SYMMETRY_TOL = 1e-12  # element-table asymmetry over max(1, ||T||)
 
 
 class DomainError(ValueError):
@@ -83,33 +71,20 @@ def _norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("...i,...i->...", flat, flat))
 
 
-def _require_same_shape(x: np.ndarray, y: np.ndarray) -> None:
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-
-
-def commutator(x, y) -> np.ndarray:
-    """XY - YX."""
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    _require_same_shape(x, y)
-    return x @ y - y @ x
-
-
 class HermitianMatrix:
     """Self-adjoint square matrix.
 
     Construction symmetrizes the input to (A + A†)/2 and rejects inputs whose
-    asymmetry exceeds the configured threshold, so genuinely non-Hermitian data
+    asymmetry exceeds ``ASYMMETRY_TOL``, so genuinely non-Hermitian data
     fails loudly instead of being silently averaged away.
     """
 
-    def __init__(self, entries, tol: Tolerances = DEFAULT_TOLERANCES):
-        h = _hermitian_part(_as_square_complex(entries), tol)
+    def __init__(self, entries):
+        h = _hermitian_part(_as_square_complex(entries))
         h.flags.writeable = False
         self.entries = h
         self.dim = h.shape[0]
-        self._decompositions: dict[Tolerances, SpectralDecomposition] = {}
+        self._decomposition: SpectralDecomposition | None = None
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.entries, dtype=dtype)
@@ -121,18 +96,18 @@ class HermitianMatrix:
 class DensityMatrix(HermitianMatrix):
     """Strictly positive, trace-one Hermitian matrix (a faithful state)."""
 
-    def __init__(self, entries, tol: Tolerances = DEFAULT_TOLERANCES):
-        super().__init__(entries, tol=tol)
-        _check_trace_one(self.entries, tol)
-        _check_positive(np.linalg.eigvalsh(self.entries)[0], tol)
+    def __init__(self, entries):
+        super().__init__(entries)
+        _check_trace_one(self.entries)
+        _check_positive(np.linalg.eigvalsh(self.entries)[0])
 
 
-def _hermitian_part(a: np.ndarray, tol: Tolerances) -> np.ndarray:
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
     """(A + A†)/2 of every matrix in a stack; rejects any whose asymmetry
     exceeds the threshold, so non-Hermitian data is not silently averaged."""
     ah = _dagger(a)
     asym = _norms(a - ah)
-    bad = asym > tol.hermitian_asymmetry * np.maximum(1.0, _norms(a))
+    bad = asym > ASYMMETRY_TOL * np.maximum(1.0, _norms(a))
     if bad.any():
         raise ValueError(
             f"input is not self-adjoint: asymmetry {asym[bad].flat[0]:.3e} "
@@ -141,38 +116,38 @@ def _hermitian_part(a: np.ndarray, tol: Tolerances) -> np.ndarray:
     return (a + ah) / 2
 
 
-def _check_trace_one(a: np.ndarray, tol: Tolerances) -> None:
+def _check_trace_one(a: np.ndarray) -> None:
     tr = np.trace(a, axis1=-2, axis2=-1).real
-    bad = np.abs(tr - 1.0) > tol.trace_one
+    bad = np.abs(tr - 1.0) > TRACE_TOL
     if bad.any():
         raise ValueError(f"trace must be 1, got {float(tr[bad].flat[0])!r}")
 
 
-def _check_positive(lam_min, tol: Tolerances) -> None:
+def _check_positive(lam_min) -> None:
     lam_min = np.asarray(lam_min)
-    bad = lam_min < tol.positivity_floor
+    bad = lam_min < POSITIVITY_FLOOR
     if bad.any():
         raise ValueError(
             f"state is not strictly positive: smallest eigenvalue "
             f"{float(lam_min[bad].flat[0]):.3e} is below the floor "
-            f"{tol.positivity_floor:.1e}"
+            f"{POSITIVITY_FLOOR:.1e}"
         )
 
 
-def hermitian_stack(entries: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def hermitian_stack(entries: np.ndarray) -> np.ndarray:
     """Validate a stack [S, n, n] of observables as ``HermitianMatrix`` does
     one, and return the symmetrized stack."""
     a = np.asarray(entries, dtype=complex)
     _require_finite(a)
-    return _hermitian_part(a, tol)
+    return _hermitian_part(a)
 
 
-def density_stack(entries: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def density_stack(entries: np.ndarray) -> np.ndarray:
     """Validate a stack [S, n, n] of states as ``DensityMatrix`` does one,
     except for the positivity floor, which ``eigh_stack(..., density=True)``
     checks on the spectrum it computes anyway."""
-    rho = hermitian_stack(entries, tol)
-    _check_trace_one(rho, tol)
+    rho = hermitian_stack(entries)
+    _check_trace_one(rho)
     return rho
 
 
@@ -187,7 +162,6 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
-    source: HermitianMatrix
     pair_cache: weakref.WeakKeyDictionary = field(
         default_factory=weakref.WeakKeyDictionary, init=False, repr=False
     )
@@ -200,33 +174,26 @@ class SpectralDecomposition:
         return (self.vectors * self.eigenvalues) @ self.vectors.conj().T
 
 
-def hermitian_eigen(
-    a: HermitianMatrix, tol: Tolerances = DEFAULT_TOLERANCES
-) -> SpectralDecomposition:
+def hermitian_eigen(a: HermitianMatrix) -> SpectralDecomposition:
     """Full eigendecomposition with residual and orthonormality checks.
 
     Raises EigenDecompositionError when LAPACK fails to converge or when the
     reconstruction/orthonormality residuals exceed their thresholds.
 
-    The checked result is cached on ``a``, per ``tol``: the entries are
-    read-only, so later calls on the same object return the same
-    decomposition without decomposing again.
+    The checked result is cached on ``a``: the entries are read-only, so
+    later calls on the same object return the same decomposition without
+    decomposing again. A failed check caches nothing.
     """
-    cached = a._decompositions.get(tol)
-    if cached is not None:
-        return cached
-    w, v = eigh_stack(a.entries[None], tol, density=isinstance(a, DensityMatrix))
-    w, v = w[0], v[0]
-    w.flags.writeable = False
-    v.flags.writeable = False
-    decomp = SpectralDecomposition(eigenvalues=w, vectors=v, source=a)
-    a._decompositions[tol] = decomp
-    return decomp
+    if a._decomposition is None:
+        w, v = eigh_stack(a.entries[None], density=isinstance(a, DensityMatrix))
+        w, v = w[0], v[0]
+        w.flags.writeable = False
+        v.flags.writeable = False
+        a._decomposition = SpectralDecomposition(eigenvalues=w, vectors=v)
+    return a._decomposition
 
 
-def eigh_stack(
-    m: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES, *, density: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
+def eigh_stack(m: np.ndarray, *, density: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues [S, n] (descending) and eigenvectors [S, n, n] of a stack
     of Hermitian matrices, with the checks of ``hermitian_eigen``.
 
@@ -242,51 +209,24 @@ def eigh_stack(
     w = np.ascontiguousarray(w[..., ::-1])
     v = np.ascontiguousarray(v[..., ::-1])
     if density:
-        _check_positive(w[..., -1], tol)
+        _check_positive(w[..., -1])
     resid = _norms(m - (v * w[..., None, :]) @ _dagger(v))
-    if (resid > tol.reconstruction * n * np.maximum(_norms(m), 1e-300)).any():
+    if (resid > RECONSTRUCTION_TOL * n * np.maximum(_norms(m), 1e-300)).any():
         raise EigenDecompositionError(
             f"reconstruction residual {resid.max():.3e} exceeds "
-            f"{tol.reconstruction:.1e} * n * ||A||"
+            f"{RECONSTRUCTION_TOL:.1e} * n * ||A||"
         )
     ortho = _norms(_dagger(v) @ v - np.eye(n))
-    if (ortho > tol.orthonormality * n).any():
+    if (ortho > ORTHONORMALITY_TOL * n).any():
         raise EigenDecompositionError(
             f"eigenvector orthonormality residual {ortho.max():.3e} too large"
         )
     if density:
-        if (np.abs(w.sum(axis=-1) - 1.0) > tol.eigenvalue_sum).any():
+        if (np.abs(w.sum(axis=-1) - 1.0) > EIGENVALUE_SUM_TOL).any():
             raise EigenDecompositionError("density eigenvalues do not sum to 1")
         if (w[..., -1] <= 0.0).any():
             raise EigenDecompositionError("density matrix lost strict positivity")
     return w, v
-
-
-def apply_scalar_function(
-    decomp: SpectralDecomposition, fn, tol: Tolerances = DEFAULT_TOLERANCES
-) -> HermitianMatrix:
-    """Evaluate a scalar function on a Hermitian matrix through its spectrum.
-
-    All eigenvalues must lie in the function's domain [eps, 1].
-    """
-    lam = decomp.eigenvalues
-    if float(lam[-1]) < fn.eps - tol.domain_slack:
-        raise DomainError(
-            f"eigenvalue {float(lam[-1]):.3e} is below the domain floor {fn.eps:.1e}"
-        )
-    if float(lam[0]) > 1.0 + tol.domain_slack:
-        raise DomainError(f"eigenvalue {float(lam[0]):.6f} exceeds the domain [eps, 1]")
-    vals = np.asarray(fn.value(np.clip(lam, fn.eps, 1.0)), dtype=float)
-    v = decomp.vectors
-    return HermitianMatrix((v * vals) @ v.conj().T, tol=tol)
-
-
-def center_observable(h: HermitianMatrix, rho: DensityMatrix) -> HermitianMatrix:
-    """Subtract the state expectation: H - Tr[rho H] * I."""
-    if h.dim != rho.dim:
-        raise ValueError(f"dimension mismatch: {h.dim} vs {rho.dim}")
-    mean = float(np.trace(rho.entries @ h.entries).real)
-    return HermitianMatrix(h.entries - mean * np.eye(h.dim))
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,7 +238,6 @@ class MatrixElementTable:
     """
 
     entries: np.ndarray
-    expectation: float  # Tr[rho H]
 
     @functools.cached_property
     def weights(self) -> np.ndarray:
@@ -309,38 +248,27 @@ class MatrixElementTable:
         return w
 
 
-def element_table(
-    decomp: SpectralDecomposition,
-    h: HermitianMatrix,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> MatrixElementTable:
+def element_table(decomp: SpectralDecomposition, h: HermitianMatrix) -> MatrixElementTable:
     """Transform an observable into the eigenbasis of the decomposed state."""
     if h.dim != decomp.dim:
         raise ValueError(f"dimension mismatch: {h.dim} vs {decomp.dim}")
-    t, mean = element_tables(decomp.eigenvalues[None], decomp.vectors[None],
-                             h.entries[None], tol)
-    t = t[0]
+    t = element_tables(decomp.eigenvalues[None], decomp.vectors[None], h.entries[None])[0]
     t.flags.writeable = False
-    return MatrixElementTable(entries=t, expectation=float(mean[0]))
+    return MatrixElementTable(entries=t)
 
 
-def element_tables(
-    lam: np.ndarray,
-    v: np.ndarray,
-    h: np.ndarray,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> tuple[np.ndarray, np.ndarray]:
+def element_tables(lam: np.ndarray, v: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Centered observables [S, n, n] in the eigenbases ``v`` of a stack of
-    states with eigenvalues ``lam``, and their expectations [S]; each table
-    must stay conjugate-symmetric, as ``element_table`` requires."""
+    states with eigenvalues ``lam``; each table must stay
+    conjugate-symmetric, as ``element_table`` requires."""
     t = _dagger(v) @ h @ v
     mean = np.sum(lam * np.diagonal(t, axis1=-2, axis2=-1).real, axis=-1)
     t = t - mean[:, None, None] * np.eye(lam.shape[-1])
     asym = np.max(np.abs(t - _dagger(t)), axis=(-2, -1))
-    bad = asym > tol.element_symmetry * np.maximum(1.0, _norms(t))
+    bad = asym > ELEMENT_SYMMETRY_TOL * np.maximum(1.0, _norms(t))
     if bad.any():
         raise ValueError(f"element table lost conjugate symmetry: {asym[bad][0]:.3e}")
-    return t, mean
+    return t
 
 
 def _float_parts(a) -> tuple[int, np.ndarray]:

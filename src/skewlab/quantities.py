@@ -196,6 +196,15 @@ def _tilde_ij(lam, w, row, alpha, beta):
 
 
 def _triple_values(triple: FunctionTriple, lam: np.ndarray):
+    """f, g and h on the spectra ``lam[..., n]``. The functions live on
+    [eps, 1], so an eigenvalue below the triple's floor eps raises
+    DomainError; one at eps itself is inside the domain."""
+    lam_min = lam.min()
+    if lam_min < triple.eps:
+        raise DomainError(
+            f"smallest eigenvalue {float(lam_min):.3e} is below the "
+            f"triple's domain floor {triple.eps:.1e}"
+        )
     return tuple(np.asarray(fn.value(lam), dtype=float) for fn in (triple.f, triple.g, triple.h))
 
 
@@ -204,6 +213,18 @@ def _fgh_ij(w, row, fv, gv, hv):
     t12 = np.sum(fv * gv * hv * row, axis=-1) + _bilinear(fv * gv, w, hv)
     t34 = _bilinear(fv, w, gv * hv) + _bilinear(gv, w, fv * hv)
     return 0.5 * t12 - 0.5 * t34, 0.5 * t12 + 0.5 * t34
+
+
+def _u_value(i_val, j_val):
+    """U = sqrt(I J) per batch entry, with I and J clamped at zero."""
+    return np.sqrt(np.maximum(i_val, 0.0) * np.maximum(j_val, 0.0))
+
+
+def _luo_u(v, i_val):
+    """Luo's U = sqrt(V^2 - (V - I)^2) per batch entry, with I clamped at
+    zero and the radicand at zero, together with the radicand unclamped."""
+    radicand = v**2 - (v - np.maximum(i_val, 0.0)) ** 2
+    return np.sqrt(np.maximum(radicand, 0.0)), radicand
 
 
 def variance(rho: DensityMatrix, h: HermitianMatrix) -> float:
@@ -260,8 +281,8 @@ def wyd_family(
     i_raw, j_raw = _wyd_ij(lam, w, row, alpha)
     i_val = _clamped(float(i_raw), "skew information")
     j_val = _clamped(float(j_raw), "anti-commutator part")
-    u_val = math.sqrt(i_val * j_val)
-    u_var = math.sqrt(max(t0**2 - (t0 - i_val) ** 2, 0.0))
+    u_val = float(_u_value(i_val, j_val))
+    u_var = float(_luo_u(t0, i_val)[0])
     # compared on the radicand scale V^2: the variance form cancels
     # catastrophically when I sits at rounding level (alpha near 0 or 1)
     if abs(u_val**2 - u_var**2) > 1e-9 * max(t0**2, 1.0):
@@ -302,7 +323,7 @@ def gwyd_family(
         params={"alpha": alpha, "beta": beta},
         I=i_val,
         J=j_val,
-        U=math.sqrt(i_val * j_val),
+        U=float(_u_value(i_val, j_val)),
         V=float(_total(lam, row)),
         path="trace_formula",
     )
@@ -328,7 +349,7 @@ def gwyd_tilde_family(
         params={"alpha": alpha, "beta": beta},
         I=i_val,
         J=j_val,
-        U=math.sqrt(i_val * j_val),
+        U=float(_u_value(i_val, j_val)),
         V=float(_total(lam, row)),
         path="trace_formula",
     )
@@ -343,19 +364,14 @@ def fgh_family(
     """General correlation family driven by a function triple (f, g, h).
 
     Reduces to the power-exponent families when the triple is made of plain
-    powers. The state's smallest eigenvalue must clear the triple's domain
-    floor (negative exponents in h blow up below it).
+    powers. The state's smallest eigenvalue must not fall below the triple's
+    domain floor (negative exponents in h blow up below it).
     """
     if decomp is None:
         decomp = hermitian_eigen(rho)
-    lam = decomp.eigenvalues
-    if float(lam[-1]) <= triple.eps:
-        raise DomainError(
-            f"smallest eigenvalue {float(lam[-1]):.3e} does not clear the "
-            f"triple's domain floor {triple.eps:.1e}"
-        )
-    _, w, row = _pair_data(rho, h_obs, decomp)
-    i_raw, j_raw = _fgh_ij(w, row, *_triple_values(triple, lam))
+    values = _triple_values(triple, decomp.eigenvalues)
+    lam, w, row = _pair_data(rho, h_obs, decomp)
+    i_raw, j_raw = _fgh_ij(w, row, *values)
     i_val = _clamped(float(i_raw), "skew information")
     j_val = _clamped(float(j_raw), "anti-commutator part")
     return QuantityBundle(
@@ -363,7 +379,7 @@ def fgh_family(
         params={"triple": triple_to_spec(triple)},
         I=i_val,
         J=j_val,
-        U=math.sqrt(i_val * j_val),
+        U=float(_u_value(i_val, j_val)),
         V=float(_total(lam, row)),
         path="trace_formula",
     )
@@ -396,8 +412,6 @@ def fgh_eigensum(
 ) -> EigenSum:
     """Evaluate the (f, g, h) family as explicit sums over eigenvalue pairs."""
     lam = decomp.eigenvalues
-    if float(lam[-1]) <= triple.eps:
-        raise DomainError("smallest eigenvalue below the triple's domain floor")
     w = table.weights
     fv, gv, hv = _triple_values(triple, lam)
     i_idx, j_idx = _upper_pairs(lam.shape[0])
@@ -423,8 +437,7 @@ def luo_u(
     lam, w, row = _pair_data(rho, h, decomp)
     v = float(_total(lam, row))
     i_raw, _ = _wyd_ij(lam, w, row, 0.5)
-    i_val = _clamped(float(i_raw), "skew information")
-    radicand = v**2 - (v - i_val) ** 2
+    u_val, radicand = _luo_u(v, _clamped(float(i_raw), "skew information"))
     if radicand < -1e-12:
-        raise ValueError(f"negative radicand {radicand!r}")
-    return math.sqrt(max(radicand, 0.0))
+        raise ValueError(f"negative radicand {float(radicand)!r}")
+    return float(u_val)

@@ -125,6 +125,28 @@ class TestVerify:
         assert "alpha must lie in [0, 1]" in captured.err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("entry", [
+        {"id": "THM21_WYD", "alpha": []},
+        {"id": "CHAIN_25", "alpha": []},
+        {"id": "CHAIN_27", "alpha": []},
+    ])
+    def test_empty_cycled_alpha_exit_two(self, tmp_path, capsys, entry):
+        doc = dict(small_config_doc(), inequalities=[entry])
+        assert main(["verify", write_config(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert "a cycled alpha needs at least one value" in captured.err
+
+    @pytest.mark.parametrize("key, value", [("out", "report.json"), ("format", "csv")])
+    def test_report_options_are_not_config_keys(self, tmp_path, capsys, key, value):
+        # the report goes where --out and --format say, never where the config says
+        doc = dict(small_config_doc(), **{key: str(tmp_path / value) if key == "out" else value})
+        assert main(["verify", write_config(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert f"unknown config keys: ['{key}']" in captured.err
+        assert not (tmp_path / value).exists()
+
     def test_missing_file_exit_two(self):
         assert main(["verify", "/nonexistent/config.json"]) == 2
 

@@ -20,7 +20,6 @@ from skewlab.functions import (
     check_assumption,
     classify_pair,
     cor41_beta,
-    corner_function,
     function_from_spec,
     function_to_spec,
     l_scan_min,
@@ -209,6 +208,9 @@ class TestBetaCoefficient:
 
 
 class TestCornerFunction:
+    """The corner function (R^2-1)(R^2k-1)(R^l+1)^2 / (R^(1+k+l)-1)^2 is
+    ``lemma41_lhs(1, k, l, log R)``."""
+
     def test_limit_at_one_symbolic_oracle(self):
         r, k, ell = sympy.symbols("r k l", positive=True)
         expr = (r**2 - 1) * (r ** (2 * k) - 1) * (r**ell + 1) ** 2 / (
@@ -216,12 +218,14 @@ class TestCornerFunction:
         ) ** 2
         limit = sympy.limit(expr.subs({k: 1, ell: 2}), r, 1)
         assert float(limit) == pytest.approx(1.0)
-        assert corner_function(1.0, 1.0, 2.0) == pytest.approx(1.0, abs=1e-15)
+        assert lemma41_lhs(1.0, 1.0, 2.0, 0.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_consistency_with_exponential_form(self):
-        assert corner_function(math.e**2, 1.0, 0.0) == pytest.approx(
-            lemma41_lhs(1.0, 1.0, 0.0, 1.0), rel=1e-12
-        )
+        for r_base, k, ell in ((math.e**2, 1.0, 0.0), (3.0, 0.5, 2.0), (0.2, 1.5, -1.2)):
+            corner = (r_base**2 - 1) * (r_base ** (2 * k) - 1) * (r_base**ell + 1) ** 2 / (
+                r_base ** (1 + k + ell) - 1
+            ) ** 2
+            assert lemma41_lhs(1.0, k, ell, math.log(r_base)) == pytest.approx(corner, rel=1e-12)
 
     def test_lower_bound_on_grid(self):
         rng = np.random.default_rng(20)
@@ -233,15 +237,8 @@ class TestCornerFunction:
                 ell = -rng.uniform(0, 0.9) * (1 + k)
             r_base = rng.uniform(0.05, 5.0)
             bound = 16 * k / (1 + k + ell) ** 2
-            assert corner_function(r_base, k, ell) >= bound - 1e-9 * max(1.0, bound)
-
-    def test_degenerate_exponent(self):
-        with pytest.raises(ValueError, match="degenerate"):
-            corner_function(2.0, 1.0, -2.0)
-
-    def test_nonpositive_base(self):
-        with pytest.raises(ValueError, match="positive"):
-            corner_function(0.0, 1.0, 1.0)
+            lhs = lemma41_lhs(1.0, k, ell, math.log(r_base))
+            assert lhs >= bound - 1e-9 * max(1.0, bound)
 
 
 class TestCheckAssumption:

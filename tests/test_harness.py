@@ -24,11 +24,17 @@ from skewlab.harness import (
     run_campaign,
     sample_density,
     sample_observable,
-    sample_unitary,
     search_counterexample,
 )
 from skewlab.functions import Const, FunctionTriple, Power
-from skewlab.linalg import DensityMatrix, DomainError, HermitianMatrix
+from skewlab.linalg import (
+    DensityMatrix,
+    DomainError,
+    HermitianMatrix,
+    element_table,
+    hermitian_eigen,
+)
+from skewlab.quantities import fgh_eigensum, fgh_family
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -91,12 +97,6 @@ class TestSamplers:
         rng = np.random.default_rng(2)
         h = sample_observable(5, rng)
         assert np.array_equal(h.entries, h.entries.conj().T)
-
-    def test_unitary_residual(self):
-        rng = np.random.default_rng(3)
-        for n in (2, 6, 12):
-            u = sample_unitary(n, rng)
-            assert np.linalg.norm(u.conj().T @ u - np.eye(n)) <= 1e-10 * n
 
 
 class TestEvaluate:
@@ -176,6 +176,32 @@ class TestEvaluate:
                 HermitianMatrix(SX),
                 HermitianMatrix(SY),
             )
+
+    def test_spectrum_at_domain_floor_evaluates_on_every_path(self):
+        # the functions live on [eps, 1]: the smallest eigenvalue 0.25 sits at
+        # eps = 0.25, inside the domain; just above it, every path refuses
+        rho = DensityMatrix(np.diag([0.75, 0.25]))
+        a, b = HermitianMatrix(SX), HermitianMatrix(SY)
+        d = hermitian_eigen(rho)
+
+        def pair(eps):
+            return FunctionTriple(Power(p=0.5, eps=eps), Power(p=0.5, eps=eps),
+                                  Const(c=1.0, eps=eps), eps=eps)
+
+        setting = InequalitySetting(id=InequalityId.COR41_PAIR, triple=pair(0.25))
+        record = evaluate_inequality(setting, rho, a, b)
+        ua, ub = fgh_family(rho, a, pair(0.25), decomp=d), fgh_family(rho, b, pair(0.25))
+        assert record.lhs == pytest.approx(ua.U * ub.U, rel=1e-12)
+        assert fgh_eigensum(d, element_table(d, a), pair(0.25)).I == pytest.approx(ua.I, rel=1e-12)
+
+        above = pair(0.25 + 1e-9)
+        with pytest.raises(DomainError, match="domain floor"):
+            evaluate_inequality(InequalitySetting(id=InequalityId.COR41_PAIR, triple=above),
+                                rho, a, b)
+        with pytest.raises(DomainError, match="domain floor"):
+            fgh_family(rho, a, above)
+        with pytest.raises(DomainError, match="domain floor"):
+            fgh_eigensum(d, element_table(d, a), above)
 
     def test_thm31_qubit_passes(self):
         rho = DensityMatrix(np.diag([0.75, 0.25]))

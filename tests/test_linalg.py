@@ -1,27 +1,20 @@
-"""Tests for the Hermitian matrix plumbing and spectral calculus."""
+"""Tests for the Hermitian matrix plumbing, eigendecomposition and element tables."""
 
 import numpy as np
 import pytest
 
+from skewlab import linalg
 from skewlab.linalg import (
     DensityMatrix,
-    DomainError,
     EigenDecompositionError,
     HermitianMatrix,
-    Tolerances,
-    apply_scalar_function,
-    center_observable,
-    commutator,
     element_table,
     hermitian_eigen,
     matrix_from_json,
     matrix_to_json,
 )
-from skewlab.functions import Power
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def random_hermitian(n, rng):
@@ -43,21 +36,10 @@ def haar_unitary(n, rng):
 
 
 class TestBasicOps:
-    def test_commutator_pauli(self):
-        np.testing.assert_allclose(commutator(SX, SY), 2j * SZ, atol=1e-15)
-
-    def test_commutator_self(self):
-        a = random_hermitian(3, np.random.default_rng(3))
-        np.testing.assert_allclose(commutator(a, a), 0, atol=1e-15)
-
-    def test_commutator_diagonals(self):
-        np.testing.assert_allclose(
-            commutator(np.diag([1.0, 2.0]), np.diag([3.0, 4.0])), 0, atol=1e-15
-        )
-
     def test_dimension_mismatch(self):
+        d = hermitian_eigen(DensityMatrix(np.eye(2) / 2))
         with pytest.raises(ValueError, match="dimension mismatch"):
-            commutator(np.eye(2), np.eye(3))
+            element_table(d, HermitianMatrix(np.eye(3)))
 
 
 class TestTypes:
@@ -132,32 +114,30 @@ class TestEigen:
 
 
 class TestDecompositionCache:
-    def test_same_object_same_tolerances_returns_same_decomposition(self):
+    def test_same_object_same_tolerances_returns_same_decomposition(self, eigh_calls):
         rho = random_density(4, np.random.default_rng(20))
         assert hermitian_eigen(rho) is hermitian_eigen(rho)
-        assert hermitian_eigen(rho, Tolerances()) is hermitian_eigen(rho)
-
-    def test_other_tolerances_recompute(self, eigh_calls):
-        rho = random_density(4, np.random.default_rng(21))
-        first = hermitian_eigen(rho)
-        other = hermitian_eigen(rho, Tolerances(reconstruction=1e-9))
-        assert other is not first
-        assert len(eigh_calls) == 2
-        assert hermitian_eigen(rho, Tolerances(reconstruction=1e-9)) is other
+        assert len(eigh_calls) == 1
 
     def test_equal_valued_new_object_is_decomposed_on_its_own(self, eigh_calls):
         entries = random_density(3, np.random.default_rng(22)).entries
         a, b = DensityMatrix(entries), DensityMatrix(entries)
         da, db = hermitian_eigen(a), hermitian_eigen(b)
-        assert da is not db and da.source is a and db.source is b
+        assert da is not db
+        assert hermitian_eigen(a) is da and hermitian_eigen(b) is db
         assert len(eigh_calls) == 2
 
-    def test_failed_check_is_not_cached(self):
+    def test_failed_check_is_not_cached(self, monkeypatch, eigh_calls):
         a = HermitianMatrix(random_hermitian(6, np.random.default_rng(23)))
-        strict = Tolerances(reconstruction=0.0)
+        threshold = linalg.RECONSTRUCTION_TOL
+        monkeypatch.setattr(linalg, "RECONSTRUCTION_TOL", 0.0)
         for _ in range(2):
             with pytest.raises(EigenDecompositionError, match="reconstruction"):
-                hermitian_eigen(a, strict)
+                hermitian_eigen(a)
+        assert len(eigh_calls) == 2
+        monkeypatch.setattr(linalg, "RECONSTRUCTION_TOL", threshold)
+        assert hermitian_eigen(a) is hermitian_eigen(a)
+        assert len(eigh_calls) == 3
 
     def test_cached_arrays_stay_read_only(self):
         d = hermitian_eigen(random_density(3, np.random.default_rng(24)))
@@ -167,63 +147,26 @@ class TestDecompositionCache:
             d.vectors[0, 0] = 0.0
 
 
-class TestSpectralCalculus:
-    def test_identity_function(self):
-        rng = np.random.default_rng(10)
-        rho = random_density(4, rng)
-        d = hermitian_eigen(rho)
-        out = apply_scalar_function(d, Power(p=1.0))
-        np.testing.assert_allclose(out.entries, rho.entries, atol=1e-12)
-
-    def test_sqrt_diagonal(self):
-        d = hermitian_eigen(DensityMatrix(np.diag([0.25, 0.75])))
-        out = apply_scalar_function(d, Power(p=0.5))
-        np.testing.assert_allclose(
-            np.sort(np.diag(out.entries).real), [0.5, 0.8660254037844386]
-        )
-
-    def test_sqrt_squares_back(self):
-        rng = np.random.default_rng(11)
-        for _ in range(10):
-            rho = random_density(5, rng)
-            root = apply_scalar_function(hermitian_eigen(rho), Power(p=0.5))
-            np.testing.assert_allclose(
-                root.entries @ root.entries, rho.entries, atol=1e-10
-            )
-
-    def test_power_composition(self):
-        rng = np.random.default_rng(12)
-        rho = random_density(4, rng)
-        d = hermitian_eigen(rho)
-        a = apply_scalar_function(d, Power(p=0.3)).entries
-        b = apply_scalar_function(d, Power(p=0.45)).entries
-        c = apply_scalar_function(d, Power(p=0.75)).entries
-        np.testing.assert_allclose(a @ b, c, rtol=1e-10, atol=1e-12)
-
-    def test_domain_floor_error(self):
-        rho = DensityMatrix(np.diag([1e-7, 1 - 1e-7]))
-        with pytest.raises(DomainError, match="domain floor"):
-            apply_scalar_function(hermitian_eigen(rho), Power(p=-0.5, eps=1e-6))
-
-
 class TestCentering:
+    """``element_table`` holds the centered observable H - Tr[rho H] I."""
+
     def test_traceless_observable_unchanged(self):
-        rho = DensityMatrix(np.diag([0.75, 0.25]))
-        h0 = center_observable(HermitianMatrix(SX), rho)
-        np.testing.assert_allclose(h0.entries, SX, atol=1e-15)
+        d = hermitian_eigen(DensityMatrix(np.diag([0.75, 0.25])))
+        t = element_table(d, HermitianMatrix(SX))
+        np.testing.assert_allclose(t.entries, d.vectors.conj().T @ SX @ d.vectors, atol=1e-15)
 
     def test_identity_centers_to_zero(self):
-        rho = DensityMatrix(np.diag([0.75, 0.25]))
-        h0 = center_observable(HermitianMatrix(np.eye(2)), rho)
-        np.testing.assert_allclose(h0.entries, 0, atol=1e-15)
+        d = hermitian_eigen(DensityMatrix(np.diag([0.75, 0.25])))
+        t = element_table(d, HermitianMatrix(np.eye(2)))
+        np.testing.assert_allclose(t.entries, 0, atol=1e-15)
 
     def test_defining_property(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
-            rho = random_density(4, rng)
-            h = HermitianMatrix(random_hermitian(4, rng))
-            h0 = center_observable(h, rho)
-            assert abs(np.trace(rho.entries @ h0.entries)) < 1e-12
+            d = hermitian_eigen(random_density(4, rng))
+            t = element_table(d, HermitianMatrix(random_hermitian(4, rng)))
+            # Tr[rho H0] in rho's eigenbasis
+            assert abs(np.sum(d.eigenvalues * np.diag(t.entries))) < 1e-12
 
 
 class TestElementTable:

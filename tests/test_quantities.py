@@ -11,7 +11,6 @@ from skewlab.functions import Const, FunctionTriple, Power
 from skewlab.linalg import (
     DensityMatrix,
     HermitianMatrix,
-    Tolerances,
     element_table,
     hermitian_eigen,
 )
@@ -393,7 +392,7 @@ class TestPairDataCache:
     def test_explicit_decomposition_has_its_own_cache(self, table_calls):
         rng = np.random.default_rng(34)
         rho, h = random_density(4, rng), random_hermitian(4, rng)
-        other = hermitian_eigen(rho, Tolerances(reconstruction=1e-9))
+        other = hermitian_eigen(DensityMatrix(rho.entries))
         assert other is not hermitian_eigen(rho)
         assert wy_skew(rho, h) == wy_skew(rho, h, decomp=other)
         wy_skew(rho, h, decomp=other)
