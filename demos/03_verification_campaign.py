@@ -39,7 +39,10 @@ for stats in report.stats:
           f"samples={stats.samples} violations={stats.violations} "
           f"min_margin={stats.min_margin:+.3e}")
 
-# The worst case of the deliberately broken relation, fully serialized.
+# The worst case of the deliberately broken relation, fully serialized. A
+# campaign redraws its worst cases' matrices only when asked, as the JSON
+# writers ask.
+report.replay_worst_cases()
 naive = next(s for s in report.stats if s.setting["id"] == "NAIVE_WY_SHOULD_FAIL")
 print("\nworst naive-relation instance (serialized state):")
 print(json.dumps(naive.worst.to_json()["rho"], indent=2)[:300], "...")

@@ -56,6 +56,8 @@ def load_default_config() -> dict:
 
 
 def _cmd_verify(args) -> int:
+    if args.format is not None and not args.out:
+        raise ValueError("--format needs --out: the report is only written to a file")
     if args.config is None:
         doc = load_default_config()
     else:
@@ -71,14 +73,15 @@ def _cmd_verify(args) -> int:
             f"violations={stats.violations} min_margin={_fmt(stats.min_margin)}"
         )
     if args.out:
+        fmt = args.format or "json"
         with open(args.out, "w", encoding="utf-8") as fh:
-            if args.format == "json":
+            if fmt == "json":
                 fh.write(report.to_json_text())
                 fh.write("\n")
             else:
                 for row in report.csv_rows():
                     fh.write(row + "\n")
-        print(f"report written to {args.out} ({args.format})")
+        print(f"report written to {args.out} ({fmt})")
     return 1 if report.failed else 0
 
 
@@ -166,7 +169,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", nargs="?", default=None,
                    help="path to a campaign config (default: bundled campaign)")
     p.add_argument("--out", default=None, help="write the report to this path")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--format", choices=("json", "csv"), default=None,
+                   help="report format (default: json); needs --out")
     p.add_argument("--threads", type=int, default=1, help="worker processes (default: 1)")
     p.set_defaults(fn=_cmd_verify)
 

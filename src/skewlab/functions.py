@@ -569,7 +569,11 @@ def _lemma41_regime_ok(a: float, b: float, c: float) -> bool:
 
 def lemma41_lhs(a: float, b: float, c: float, r):
     """(e^{2ar}-1)(e^{2br}-1)(e^{cr}+1)^2 / (e^{(a+b+c)r}-1)^2, with the r -> 0
-    limit 16ab/(a+b+c)^2 substituted at r == 0. Stable near zero via expm1."""
+    limit 16ab/(a+b+c)^2 substituted at r == 0. Stable near zero via expm1.
+    At a + b + c = 0 the denominator vanishes for every r, and that case
+    raises ValueError."""
+    if a + b + c == 0:
+        raise ValueError(f"lemma41_lhs is undefined at a + b + c = 0 (a={a}, b={b}, c={c})")
     r_arr = np.asarray(r, dtype=float)
     limit = 16.0 * a * b / (a + b + c) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -22,6 +22,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -72,6 +73,7 @@ __all__ = [
     "CampaignConfig",
     "SampleRecord",
     "InequalityStats",
+    "EntryColumns",
     "CampaignReport",
     "ConfigError",
     "sample_density",
@@ -894,16 +896,54 @@ class InequalityStats:
         }
 
 
+class EntryColumns(NamedTuple):
+    """One entry's results over the whole campaign, one element per sample in
+    report order: the columns of its rows."""
+
+    id: str
+    dims: np.ndarray
+    indices: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+    margin: np.ndarray
+    passed: np.ndarray
+
+    def rows(self):
+        """(id, dim, index, lhs, rhs, margin, passed) per sample, as Python scalars."""
+        return zip(
+            repeat(self.id), self.dims.tolist(), self.indices.tolist(), self.lhs.tolist(),
+            self.rhs.tolist(), self.margin.tolist(), self.passed.tolist(),
+        )
+
+
 @dataclass
 class CampaignReport:
     config: dict
     config_hash: str
     stats: list[InequalityStats]
     wall_time: float
-    rows: list[tuple] = field(default_factory=list, repr=False)
-    # rows: (id-string, dim, index, lhs, rhs, margin, passed)
+    columns: list[EntryColumns] = field(default_factory=list, repr=False)
+
+    @property
+    def rows(self) -> list[tuple]:
+        """Every entry's rows in turn, built from the columns on each access."""
+        return [row for c in self.columns for row in c.rows()]
+
+    def replay_worst_cases(self) -> None:
+        """Give every worst case without matrices its (rho, A, B), redrawn
+        from the config's seed and delta. A campaign leaves them to this call,
+        which the JSON writers make, so a CSV report never draws them."""
+        missing = [s.worst for s in self.stats if s.worst.state is None]
+        if not missing:
+            return
+        samples = _replay(
+            self.config["seed"], self.config["delta"], {(w.dim, w.index) for w in missing}
+        )
+        for w in missing:
+            w.state, w.obs_a, w.obs_b = samples[w.dim, w.index]
 
     def to_json(self, *, matrix=matrix_to_json) -> dict:
+        self.replay_worst_cases()
         return {
             "config": self.config,
             "config_hash": self.config_hash,
@@ -917,11 +957,12 @@ class CampaignReport:
         return _json_text(self.to_json(matrix=np.asarray), indent)
 
     def csv_rows(self):
+        """The CSV report line by line, formatted from one entry's columns at
+        a time."""
         yield "id,n,lhs,rhs,margin,pass"
-        for ineq, dim, _idx, lhs, rhs, margin, passed in self.rows:
-            yield (
-                f"{ineq},{dim},{lhs!r},{rhs!r},{margin!r},{str(passed).lower()}"
-            )
+        for c in self.columns:
+            for ineq, dim, _index, lhs, rhs, margin, passed in c.rows():
+                yield f"{ineq},{dim},{lhs!r},{rhs!r},{margin!r},{'true' if passed else 'false'}"
 
     @property
     def failed(self) -> bool:
@@ -979,7 +1020,7 @@ def _worker_entry(args):
     return _block_rows(*args)
 
 
-def _replay(config: CampaignConfig, picks) -> dict:
+def _replay(seed: int, delta: float, picks) -> dict:
     """(rho, A, B) of every distinct (dim, index) in ``picks``, drawn once,
     in blocks no larger than the campaign's; records that share a sample
     share its arrays. The states skip no check: ``density_stack`` leaves the
@@ -991,7 +1032,7 @@ def _replay(config: CampaignConfig, picks) -> dict:
         size = _block_size(dim)
         for start in range(0, len(indices), size):
             chunk = indices[start : start + size]
-            stacks = _draw_block(config.seed, dim, np.array(chunk), config.delta)
+            stacks = _draw_block(seed, dim, np.array(chunk), delta)
             for k, index in enumerate(chunk):
                 out[dim, index] = tuple(stack[k] for stack in stacks)
     return out
@@ -1001,7 +1042,8 @@ def run_campaign(config: CampaignConfig, threads: int = 1) -> CampaignReport:
     """Run every configured inequality over the sampled instances.
 
     Deterministic for a fixed config: the report (minus wall time) does not
-    depend on the worker count.
+    depend on the worker count. The worst cases carry no matrices until
+    ``CampaignReport.replay_worst_cases`` redraws them.
     """
     t_start = time.perf_counter()
     plans = [_plan(s) for s in config.inequalities]
@@ -1020,24 +1062,14 @@ def run_campaign(config: CampaignConfig, threads: int = 1) -> CampaignReport:
     indices = np.concatenate([np.arange(start, stop) for _dim, start, stop in tasks])
     ends = np.cumsum([stop - start for _dim, start, stop in tasks])
     stats: list[InequalityStats] = []
-    all_rows: list[tuple] = []
+    columns: list[EntryColumns] = []
     for ordinal, setting in enumerate(config.inequalities):
         parts = [block[ordinal] for block in blocks]
         lhs, rhs, margin, passed = (
             np.concatenate([getattr(p, name) for p in parts])
             for name in ("lhs", "rhs", "margin", "passed")
         )
-        all_rows.extend(
-            zip(
-                [setting.id.value] * len(margin),
-                dims.tolist(),
-                indices.tolist(),
-                lhs.tolist(),
-                rhs.tolist(),
-                margin.tolist(),
-                passed.tolist(),
-            )
-        )
+        columns.append(EntryColumns(setting.id.value, dims, indices, lhs, rhs, margin, passed))
         # rows run in (dim position, index) order, so the first minimum is
         # the smallest (margin, dim position, index)
         worst = int(np.argmin(margin))
@@ -1056,15 +1088,12 @@ def run_campaign(config: CampaignConfig, threads: int = 1) -> CampaignReport:
             )
         )
 
-    samples = _replay(config, {(s.worst.dim, s.worst.index) for s in stats})
-    for s in stats:
-        s.worst.state, s.worst.obs_a, s.worst.obs_b = samples[s.worst.dim, s.worst.index]
     return CampaignReport(
         config=config.to_dict(),
         config_hash=config_hash(config),
         stats=stats,
         wall_time=time.perf_counter() - t_start,
-        rows=all_rows,
+        columns=columns,
     )
 
 
@@ -1098,7 +1127,7 @@ def search_counterexample(
         if len(failed):
             k = int(failed[0])
             record = _record(setting, entry, k, dim, start + k)
-            sample = _replay(config, {(dim, start + k)})[dim, start + k]
+            sample = _replay(seed, delta, {(dim, start + k)})[dim, start + k]
             record.state, record.obs_a, record.obs_b = sample
             return record
     return None

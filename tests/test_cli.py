@@ -87,6 +87,17 @@ class TestVerify:
         assert lines[0] == "id,n,lhs,rhs,margin,pass"
         assert len(lines) == 1 + 2 * 20
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_format_without_out_exit_two(self, tmp_path, capsys, fmt):
+        path = write_config(tmp_path, small_config_doc())
+        assert main(["verify", path, "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--format needs --out" in captured.err
+        # without --format the campaign still runs and prints its PASS lines
+        assert main(["verify", path]) == 0
+        assert capsys.readouterr().out.count("PASS ") == 2
+
     def test_triple_floor_above_sampled_spectrum_exit_two(self, tmp_path, capsys):
         # sampled eigenvalues are only guaranteed >= delta / n = 1e-6 / 3
         doc = {

@@ -346,6 +346,13 @@ class TestLemma41:
     def test_regime_guard(self):
         with pytest.raises(ValueError, match="regime"):
             lemma41_check(1.0, 1.0, 0.5)
+        with pytest.raises(ValueError, match="regime"):
+            lemma41_check(1.0, 1.0, -2.0)
+
+    @pytest.mark.parametrize("r", [0.5, 0.0, [0.0, 0.5]])
+    def test_lhs_rejects_zero_exponent_sum(self, r):
+        with pytest.raises(ValueError, match=r"a \+ b \+ c = 0"):
+            lemma41_lhs(1.0, 1.0, -2.0, r)
 
     def test_band_excluded(self):
         rep = lemma41_check(0.5, 0.5, 1.0, r_grid=np.linspace(-1, 1, 101))

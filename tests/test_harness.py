@@ -435,6 +435,7 @@ class TestCampaign:
 
     def test_worst_case_has_matrices(self):
         report = run_campaign(small_config())
+        report.replay_worst_cases()
         for s in report.stats:
             doc = s.worst.to_json()
             assert doc["rho"] is not None and doc["rho"]["dim"] in (2, 3)

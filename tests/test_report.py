@@ -6,8 +6,10 @@ worst cases' matrices straight from their arrays. Their text must equal
 ``json.dumps(to_json(), indent=indent, sort_keys=True)`` byte for byte.
 """
 
+import gc
 import json
 import math
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -187,7 +189,12 @@ def test_each_distinct_worst_case_is_drawn_once(block_elements):
     with patch.object(harness, "_draw_block", spy), \
             patch.object(harness, "_BLOCK_ELEMENTS", block_elements):
         report = harness.run_campaign(config, threads=1)
-        replays = calls[len(harness._blocks(config)):]
+        blocks = len(harness._blocks(config))
+        assert len(calls) == blocks   # the campaign itself redraws nothing
+        report.replay_worst_cases()
+        replays = calls[blocks:]
+        report.to_json_text()
+        assert len(calls) == blocks + len(replays)   # and the replay runs once
         sizes = {dim: harness._block_size(dim) for dim in config.dims}
     worst = {(s.worst.dim, s.worst.index) for s in report.stats}
     # the distinct indices of each dim, sorted, in blocks no larger than the campaign's
@@ -210,11 +217,98 @@ def test_each_distinct_worst_case_is_drawn_once(block_elements):
 def test_replayed_arrays_equal_draw_sample_bit_for_bit(name):
     config = _config(name)
     report = harness.run_campaign(config, threads=1)
+    report.replay_worst_cases()
     for s in report.stats:
         one = harness._draw_sample(config.seed, s.worst.dim, s.worst.index, config.delta)
         for got, want in zip((s.worst.state, s.worst.obs_a, s.worst.obs_b), one):
             assert got.dtype == want.entries.dtype
             assert got.tobytes() == want.entries.tobytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_only_the_json_report_redraws_worst_cases(tmp_path, fmt):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(CYCLED))
+    config = harness.config_from_dict(CYCLED)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return draw(*args)
+
+    draw = harness._draw_block
+    with patch.object(harness, "_draw_block", spy):
+        argv = ["verify", str(path), "--out", str(tmp_path / f"r.{fmt}"), "--format", fmt]
+        assert cli.main(argv) == 0
+    blocks = len(harness._blocks(config))
+    if fmt == "csv":
+        assert len(calls) == blocks
+    else:
+        assert len(calls) > blocks
+
+
+# -------------------------------------------------------------- the columns
+
+def _csv_from_rows(report):
+    """The reference for ``csv_rows``: the CSV lines formatted from the row
+    tuples one by one."""
+    return ["id,n,lhs,rhs,margin,pass"] + [
+        f"{ineq},{dim},{lhs!r},{rhs!r},{margin!r},{str(passed).lower()}"
+        for ineq, dim, _idx, lhs, rhs, margin, passed in report.rows
+    ]
+
+
+def test_csv_rows_format_the_rows(report):
+    assert list(report.csv_rows()) == _csv_from_rows(report)
+
+
+def test_rows_hold_python_scalars(report):
+    rows = report.rows
+    assert len(rows) == sum(s.samples for s in report.stats)
+    for row in rows:
+        assert tuple(map(type, row)) == (str, int, int, float, float, float, bool)
+
+
+def test_csv_rows_of_non_finite_and_signed_zero_columns():
+    dims, indices = np.array([2, 2, 3, 3]), np.array([0, 1, 0, 1])
+    lhs = np.array([math.nan, math.inf, -0.0, 0.1])
+    rhs = np.array([0.0, -math.inf, 0.0, 0.30000000000000004])
+    margin = np.array([math.nan, math.inf, -0.0, -0.20000000000000004])
+    passed = np.array([False, True, True, False])
+    report = harness.CampaignReport(
+        config={}, config_hash="h", stats=[], wall_time=0.0,
+        columns=[harness.EntryColumns("A", dims, indices, lhs, rhs, margin, passed),
+                 harness.EntryColumns("B", dims, indices, -lhs, rhs, -margin, ~passed)],
+    )
+    lines = list(report.csv_rows())
+    assert lines == _csv_from_rows(report)
+    assert lines[1:5] == [
+        "A,2,nan,0.0,nan,false",
+        "A,2,inf,-inf,inf,true",
+        "A,3,-0.0,0.0,-0.0,true",
+        "A,3,0.1,0.30000000000000004,-0.20000000000000004,false",
+    ]
+    assert lines[5:7] == ["B,2,nan,0.0,nan,true", "B,2,-inf,-inf,-inf,false"]
+    assert lines[7] == "B,3,0.0,0.0,0.0,false"
+    assert repr(report.rows[2]) == "('A', 3, 0, -0.0, 0.0, -0.0, True)"
+
+
+def test_default_report_retains_under_5_mb():
+    # the columns take about 1.5 MB; 56,000 row tuples of Python scalars
+    # take 11.3 MB
+    config = _config("default")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        report = harness.run_campaign(config, threads=1)
+        gc.collect()
+        with_report = tracemalloc.get_traced_memory()[0]
+        del report
+        gc.collect()
+        retained = with_report - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 5_000_000
 
 
 # --------------------------------------------------------------- the matrix
