@@ -19,6 +19,7 @@ import functools
 import hashlib
 import json
 import math
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -28,6 +29,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .functions import (
+    DEFAULT_EPS,
     Assumption,
     Const,
     FunctionTriple,
@@ -89,6 +91,24 @@ class ConfigError(ValueError):
     """Campaign configuration is malformed or inconsistent."""
 
 
+DEFAULT_DELTA = 1e-3  # mixing weight of a sampled state toward the maximally mixed one
+DEFAULT_SLACK = 1e-9  # relative violation threshold of a PASS
+
+
+def _integer(key: str, value) -> int:
+    """A config integer: an integer that is not a boolean."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real(key: str, value) -> float:
+    """A config real: a number that is not a boolean."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 class InequalityId(enum.Enum):
     HEISENBERG_21 = "HEISENBERG_21"
     SCHRODINGER = "SCHRODINGER"
@@ -123,12 +143,12 @@ class InequalitySetting:
     assert_pass: bool | None = None
 
     def __post_init__(self):
-        if isinstance(self.alpha, (int, float)) and not isinstance(self.alpha, bool):
-            object.__setattr__(self, "alpha", float(self.alpha))
         if isinstance(self.alpha, (list, tuple)):
-            object.__setattr__(self, "alpha", tuple(float(x) for x in self.alpha))
+            object.__setattr__(self, "alpha", tuple(_real("alpha", x) for x in self.alpha))
+        elif self.alpha is not None:
+            object.__setattr__(self, "alpha", _real("alpha", self.alpha))
         if self.beta is not None:
-            object.__setattr__(self, "beta", float(self.beta))
+            object.__setattr__(self, "beta", _real("beta", self.beta))
         name, record = self.id.value, INEQUALITIES[self.id]
         for param in ("alpha", "beta"):
             if getattr(self, param) is not None and param not in record.params:
@@ -188,10 +208,14 @@ class CampaignConfig:
     dims: tuple[int, ...]
     samples_per_dim: int
     inequalities: tuple[InequalitySetting, ...]
-    delta: float = 1e-3     # mixing weight toward the maximally mixed state
-    slack: float = 1e-9     # relative violation threshold
+    delta: float = DEFAULT_DELTA
+    slack: float = DEFAULT_SLACK
 
     def __post_init__(self):
+        for key, check in (("seed", _integer), ("samples_per_dim", _integer),
+                           ("delta", _real), ("slack", _real)):
+            object.__setattr__(self, key, check(key, getattr(self, key)))
+        object.__setattr__(self, "dims", tuple(_integer("dims entry", n) for n in self.dims))
         if not (0 <= self.seed < 2**64):
             raise ConfigError("seed must be a 64-bit unsigned integer")
         if not self.dims or any(n < 2 for n in self.dims):
@@ -204,9 +228,8 @@ class CampaignConfig:
             raise ConfigError("at most 256 inequality entries are supported")
         if not (0.0 < self.delta < 1.0):
             raise ConfigError("delta must lie in (0, 1)")
-        if self.slack < 0.0:
-            raise ConfigError("slack must be nonnegative")
-        object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
+        if not (0.0 <= self.slack < math.inf):
+            raise ConfigError("slack must be finite and nonnegative")
         # a sampled state's smallest eigenvalue is at least delta / n
         floor = self.delta / max(self.dims)
         for s in self.inequalities:
@@ -252,21 +275,14 @@ def _setting_from_entry(doc: dict) -> InequalitySetting:
         if record.functions == "triple":
             triple = triple_from_spec(doc.pop("triple"))
         elif record.functions == "pair":
-            eps = float(doc.pop("eps", 1e-6))
+            eps = float(doc.pop("eps", DEFAULT_EPS))
             f = function_from_spec(doc.pop("f"), eps=eps)
             g = function_from_spec(doc.pop("g"), eps=eps)
             triple = FunctionTriple(f=f, g=g, h=Const(c=1.0, eps=eps), eps=eps)
-        alpha = doc.pop("alpha", None)
-        if isinstance(alpha, list):
-            alpha = tuple(float(x) for x in alpha)
-        elif alpha is not None:
-            alpha = float(alpha)
-        beta = doc.pop("beta", None)
-        beta = None if beta is None else float(beta)
         return InequalitySetting(
             id=ineq,
-            alpha=alpha,
-            beta=beta,
+            alpha=doc.pop("alpha", None),
+            beta=doc.pop("beta", None),
             regime=doc.pop("regime", None),
             triple=triple,
             assert_pass=assert_pass,
@@ -291,13 +307,15 @@ def config_from_dict(doc: dict) -> CampaignConfig:
     entries = doc["inequalities"]
     if not isinstance(entries, list):
         raise ConfigError("'inequalities' must be a list")
+    if not isinstance(doc["dims"], list):
+        raise ConfigError(f"'dims' must be a list of integers, got {doc['dims']!r}")
     try:
         return CampaignConfig(
-            seed=int(doc["seed"]),
-            dims=tuple(int(n) for n in doc["dims"]),
-            samples_per_dim=int(doc["samples_per_dim"]),
-            delta=float(doc.get("delta", 1e-3)),
-            slack=float(doc.get("slack", 1e-9)),
+            seed=doc["seed"],
+            dims=tuple(doc["dims"]),
+            samples_per_dim=doc["samples_per_dim"],
+            delta=doc.get("delta", DEFAULT_DELTA),
+            slack=doc.get("slack", DEFAULT_SLACK),
             inequalities=tuple(_setting_from_entry(e) for e in entries),
         )
     except (TypeError, ValueError) as exc:
@@ -330,7 +348,7 @@ def _observable_from(g: np.ndarray) -> np.ndarray:
     return (g + np.swapaxes(g, -1, -2).conj()) / 2
 
 
-def sample_density(n: int, rng: np.random.Generator, delta: float = 1e-3) -> DensityMatrix:
+def sample_density(n: int, rng: np.random.Generator, delta: float = DEFAULT_DELTA) -> DensityMatrix:
     """Random faithful state: a normalized Wishart matrix mixed with the
     maximally mixed state, so the smallest eigenvalue is at least delta/n."""
     if n < 2:
@@ -338,9 +356,9 @@ def sample_density(n: int, rng: np.random.Generator, delta: float = 1e-3) -> Den
     return DensityMatrix(_state_from(_ginibre(n, rng), delta))
 
 
-def sample_observable(n: int, rng: np.random.Generator, scale: float = 1.0) -> HermitianMatrix:
+def sample_observable(n: int, rng: np.random.Generator) -> HermitianMatrix:
     """Gaussian Hermitian observable (symmetrized complex Gaussian matrix)."""
-    return HermitianMatrix(_observable_from(scale * _ginibre(n, rng)))
+    return HermitianMatrix(_observable_from(_ginibre(n, rng)))
 
 
 _PARAM_SALT = 0xA5A5_5A5A_DEAD_BEEF
@@ -841,7 +859,7 @@ def evaluate_inequality(
     a: HermitianMatrix,
     b: HermitianMatrix,
     params: dict | None = None,
-    slack: float = 1e-9,
+    slack: float = DEFAULT_SLACK,
     *,
     index: int = 0,
 ) -> SampleRecord:
@@ -1103,8 +1121,8 @@ def search_counterexample(
     seed: int,
     *,
     dim: int = 2,
-    delta: float = 1e-3,
-    slack: float = 1e-9,
+    delta: float = DEFAULT_DELTA,
+    slack: float = DEFAULT_SLACK,
 ) -> SampleRecord | None:
     """Scan seeded samples for the first violating instance.
 

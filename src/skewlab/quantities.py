@@ -3,8 +3,7 @@ in the state eigenbasis, and explicit eigenvalue-pair sums.
 
 Every family shares one spectral decomposition of the state:
 ``hermitian_eigen`` caches its checked result on the state object, so
-evaluating several families on one state decomposes it once. An explicit
-``decomp`` argument is used instead of the cached one.
+evaluating several families on one state decomposes it once.
 
 Every family also shares the pair data of one (decomposition, observable)
 pair: the weights ``|<phi_i|H0|phi_j>|^2`` and their row sums. The first
@@ -73,8 +72,7 @@ class QuantityBundle:
     """The four values (I, J, U, V) of one family evaluation.
 
     I is the skew-information-like part, J its anti-commutator counterpart,
-    U = sqrt(I * J), and V the plain variance of the observable. ``path``
-    records which evaluation route produced the numbers.
+    U = sqrt(I * J), and V the plain variance of the observable.
     """
 
     family: str
@@ -83,7 +81,6 @@ class QuantityBundle:
     J: float
     U: float
     V: float
-    path: str
 
     def __post_init__(self):
         vals = (self.I, self.J, self.U, self.V)
@@ -104,20 +101,16 @@ class QuantityBundle:
             "J": self.J,
             "U": self.U,
             "V": self.V,
-            "path": self.path,
         }
 
 
 def _pair_data(
-    rho: DensityMatrix,
-    h: HermitianMatrix,
-    decomp: SpectralDecomposition | None = None,
+    rho: DensityMatrix, h: HermitianMatrix
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenvalues of rho, squared moduli of the centered observable's
     elements in rho's eigenbasis, and their row sums; the last two are
-    cached on ``decomp`` per observable object."""
-    if decomp is None:
-        decomp = hermitian_eigen(rho)
+    cached on rho's decomposition per observable object."""
+    decomp = hermitian_eigen(rho)
     cached = decomp.pair_cache.get(h)
     if cached is None:
         w = element_table(decomp, h).weights
@@ -227,6 +220,21 @@ def _luo_u(v, i_val):
     return np.sqrt(np.maximum(radicand, 0.0)), radicand
 
 
+def _bundle(family: str, params: dict, lam, row, i_raw, j_raw) -> QuantityBundle:
+    """The bundle of one family evaluation: I and J clamped at zero against
+    roundoff, U = sqrt(I J) and V = Tr[rho H0^2]."""
+    i_val = _clamped(float(i_raw), "skew information")
+    j_val = _clamped(float(j_raw), "anti-commutator part")
+    return QuantityBundle(
+        family=family,
+        params=params,
+        I=i_val,
+        J=j_val,
+        U=float(_u_value(i_val, j_val)),
+        V=float(_total(lam, row)),
+    )
+
+
 def variance(rho: DensityMatrix, h: HermitianMatrix) -> float:
     """Tr[rho H^2] - Tr[rho H]^2, clamped at zero against roundoff."""
     if rho.dim != h.dim:
@@ -248,27 +256,18 @@ def covariance(rho: DensityMatrix, a: HermitianMatrix, b: HermitianMatrix) -> co
     return complex(np.trace(rho.entries @ a0 @ b0))
 
 
-def wy_skew(
-    rho: DensityMatrix,
-    h: HermitianMatrix,
-    decomp: SpectralDecomposition | None = None,
-) -> float:
+def wy_skew(rho: DensityMatrix, h: HermitianMatrix) -> float:
     """Skew information built on the square root of the state.
 
     Vanishes exactly when the state and the observable commute, and never
     exceeds the variance.
     """
-    lam, w, row = _pair_data(rho, h, decomp)
+    lam, w, row = _pair_data(rho, h)
     i_val, _ = _wyd_ij(lam, w, row, 0.5)
     return _clamped(float(i_val), "skew information")
 
 
-def wyd_family(
-    rho: DensityMatrix,
-    h: HermitianMatrix,
-    alpha: float,
-    decomp: SpectralDecomposition | None = None,
-) -> QuantityBundle:
+def wyd_family(rho: DensityMatrix, h: HermitianMatrix, alpha: float) -> QuantityBundle:
     """One-parameter interpolation family, alpha in [0, 1].
 
     U is computed as sqrt(I * J) and cross-checked against the variance form
@@ -276,36 +275,20 @@ def wyd_family(
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    lam, w, row = _pair_data(rho, h, decomp)
-    t0 = float(_total(lam, row))
-    i_raw, j_raw = _wyd_ij(lam, w, row, alpha)
-    i_val = _clamped(float(i_raw), "skew information")
-    j_val = _clamped(float(j_raw), "anti-commutator part")
-    u_val = float(_u_value(i_val, j_val))
-    u_var = float(_luo_u(t0, i_val)[0])
+    lam, w, row = _pair_data(rho, h)
+    bundle = _bundle("WYD", {"alpha": alpha}, lam, row, *_wyd_ij(lam, w, row, alpha))
+    u_var = float(_luo_u(bundle.V, bundle.I)[0])
     # compared on the radicand scale V^2: the variance form cancels
     # catastrophically when I sits at rounding level (alpha near 0 or 1)
-    if abs(u_val**2 - u_var**2) > 1e-9 * max(t0**2, 1.0):
+    if abs(bundle.U**2 - u_var**2) > 1e-9 * max(bundle.V**2, 1.0):
         raise RuntimeError(
-            f"inconsistent uncertainty values: {u_val!r} vs {u_var!r}"
+            f"inconsistent uncertainty values: {bundle.U!r} vs {u_var!r}"
         )
-    return QuantityBundle(
-        family="WYD",
-        params={"alpha": alpha},
-        I=i_val,
-        J=j_val,
-        U=u_val,
-        V=t0,
-        path="trace_formula",
-    )
+    return bundle
 
 
 def gwyd_family(
-    rho: DensityMatrix,
-    h: HermitianMatrix,
-    alpha: float,
-    beta: float,
-    decomp: SpectralDecomposition | None = None,
+    rho: DensityMatrix, h: HermitianMatrix, alpha: float, beta: float
 ) -> QuantityBundle:
     """Two-parameter family with exponents alpha, beta >= 0.
 
@@ -314,52 +297,25 @@ def gwyd_family(
     """
     if alpha < 0.0 or beta < 0.0:
         raise ValueError(f"exponents must be nonnegative, got ({alpha}, {beta})")
-    lam, w, row = _pair_data(rho, h, decomp)
+    lam, w, row = _pair_data(rho, h)
     i_raw, j_raw = _gwyd_ij(lam, w, row, alpha, beta)
-    i_val = _clamped(float(i_raw), "skew information")
-    j_val = _clamped(float(j_raw), "anti-commutator part")
-    return QuantityBundle(
-        family="GWYD",
-        params={"alpha": alpha, "beta": beta},
-        I=i_val,
-        J=j_val,
-        U=float(_u_value(i_val, j_val)),
-        V=float(_total(lam, row)),
-        path="trace_formula",
-    )
+    return _bundle("GWYD", {"alpha": alpha, "beta": beta}, lam, row, i_raw, j_raw)
 
 
 def gwyd_tilde_family(
-    rho: DensityMatrix,
-    h: HermitianMatrix,
-    alpha: float,
-    beta: float,
-    decomp: SpectralDecomposition | None = None,
+    rho: DensityMatrix, h: HermitianMatrix, alpha: float, beta: float
 ) -> QuantityBundle:
     """Second two-parameter family: both exponents act on the same side, the
     remaining state weight is rho^(alpha+beta)."""
     if alpha < 0.0 or beta < 0.0:
         raise ValueError(f"exponents must be nonnegative, got ({alpha}, {beta})")
-    lam, w, row = _pair_data(rho, h, decomp)
+    lam, w, row = _pair_data(rho, h)
     i_raw, j_raw = _tilde_ij(lam, w, row, alpha, beta)
-    i_val = _clamped(float(i_raw), "skew information")
-    j_val = _clamped(float(j_raw), "anti-commutator part")
-    return QuantityBundle(
-        family="GWYD_TILDE",
-        params={"alpha": alpha, "beta": beta},
-        I=i_val,
-        J=j_val,
-        U=float(_u_value(i_val, j_val)),
-        V=float(_total(lam, row)),
-        path="trace_formula",
-    )
+    return _bundle("GWYD_TILDE", {"alpha": alpha, "beta": beta}, lam, row, i_raw, j_raw)
 
 
 def fgh_family(
-    rho: DensityMatrix,
-    h_obs: HermitianMatrix,
-    triple: FunctionTriple,
-    decomp: SpectralDecomposition | None = None,
+    rho: DensityMatrix, h_obs: HermitianMatrix, triple: FunctionTriple
 ) -> QuantityBundle:
     """General correlation family driven by a function triple (f, g, h).
 
@@ -367,22 +323,9 @@ def fgh_family(
     powers. The state's smallest eigenvalue must not fall below the triple's
     domain floor (negative exponents in h blow up below it).
     """
-    if decomp is None:
-        decomp = hermitian_eigen(rho)
-    values = _triple_values(triple, decomp.eigenvalues)
-    lam, w, row = _pair_data(rho, h_obs, decomp)
-    i_raw, j_raw = _fgh_ij(w, row, *values)
-    i_val = _clamped(float(i_raw), "skew information")
-    j_val = _clamped(float(j_raw), "anti-commutator part")
-    return QuantityBundle(
-        family="FGH",
-        params={"triple": triple_to_spec(triple)},
-        I=i_val,
-        J=j_val,
-        U=float(_u_value(i_val, j_val)),
-        V=float(_total(lam, row)),
-        path="trace_formula",
-    )
+    lam, w, row = _pair_data(rho, h_obs)
+    i_raw, j_raw = _fgh_ij(w, row, *_triple_values(triple, lam))
+    return _bundle("FGH", {"triple": triple_to_spec(triple)}, lam, row, i_raw, j_raw)
 
 
 @dataclass(frozen=True)
@@ -427,14 +370,10 @@ def fgh_eigensum(
     return EigenSum(I=i_val, J_pairsum=j_pair, J_diag=j_diag)
 
 
-def luo_u(
-    rho: DensityMatrix,
-    h: HermitianMatrix,
-    decomp: SpectralDecomposition | None = None,
-) -> float:
+def luo_u(rho: DensityMatrix, h: HermitianMatrix) -> float:
     """sqrt(V^2 - (V - I)^2) with the square-root skew information; sits
     between the skew information and the variance."""
-    lam, w, row = _pair_data(rho, h, decomp)
+    lam, w, row = _pair_data(rho, h)
     v = float(_total(lam, row))
     i_raw, _ = _wyd_ij(lam, w, row, 0.5)
     u_val, radicand = _luo_u(v, _clamped(float(i_raw), "skew information"))

@@ -60,9 +60,8 @@ def test_criterion_1_qubit_closed_form_suite():
     for p in np.linspace(0.05, 0.95, 10):
         rho = DensityMatrix(np.diag([p, 1 - p]))
         sx = HermitianMatrix(SX)
-        decomp = hermitian_eigen(rho)
         for alpha in np.linspace(0.0, 1.0, 10):
-            got = wyd_family(rho, sx, float(alpha), decomp=decomp).I
+            got = wyd_family(rho, sx, float(alpha)).I
             expected = (
                 1.0
                 - p**alpha * (1 - p) ** (1 - alpha)
@@ -209,7 +208,7 @@ def test_criterion_8_dual_path_equivalence():
             h = sample_observable(dim, rng)
             triple = triples[idx % len(triples)]
             decomp = hermitian_eigen(rho)
-            bundle = fgh_family(rho, h, triple, decomp=decomp)
+            bundle = fgh_family(rho, h, triple)
             sums = fgh_eigensum(decomp, element_table(decomp, h), triple)
             checked += 1
             if not rel_close(bundle.I, sums.I, 1e-9):
@@ -228,28 +227,25 @@ def test_criterion_9_reduction_identities():
             rng = _matrix_rng(9, dim, idx)
             rho = sample_density(dim, rng)
             h = sample_observable(dim, rng)
-            decomp = hermitian_eigen(rho)
             alpha, beta = 0.25 + 0.5 * rng.random(2)
 
             full = fgh_family(
                 rho, h,
                 FunctionTriple(Power(p=alpha), Power(p=beta), Power(p=1 - alpha - beta)),
-                decomp=decomp,
             )
-            two = gwyd_family(rho, h, alpha, beta, decomp=decomp)
+            two = gwyd_family(rho, h, alpha, beta)
             ok &= rel_close(full.I, two.I, 1e-10) and rel_close(full.J, two.J, 1e-10)
 
             flat = fgh_family(
                 rho, h,
                 FunctionTriple(Power(p=alpha), Power(p=beta), Const(c=1.0)),
-                decomp=decomp,
             )
-            tilde = gwyd_tilde_family(rho, h, alpha, beta, decomp=decomp)
+            tilde = gwyd_tilde_family(rho, h, alpha, beta)
             ok &= rel_close(flat.I, tilde.I, 1e-10) and rel_close(flat.J, tilde.J, 1e-10)
 
-            one = wyd_family(rho, h, alpha, decomp=decomp)
-            collapse_two = gwyd_family(rho, h, alpha, 1 - alpha, decomp=decomp)
-            collapse_tilde = gwyd_tilde_family(rho, h, alpha, 1 - alpha, decomp=decomp)
+            one = wyd_family(rho, h, alpha)
+            collapse_two = gwyd_family(rho, h, alpha, 1 - alpha)
+            collapse_tilde = gwyd_tilde_family(rho, h, alpha, 1 - alpha)
             for other in (collapse_two, collapse_tilde):
                 ok &= rel_close(one.I, other.I, 1e-10)
                 ok &= rel_close(one.J, other.J, 1e-10)

@@ -1,6 +1,7 @@
 """Command-line interface tests: exit codes, printed values, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -157,6 +158,31 @@ class TestVerify:
         assert "PASS" not in captured.out
         assert f"unknown config keys: ['{key}']" in captured.err
         assert not (tmp_path / value).exists()
+
+    @pytest.mark.parametrize("change, message", [
+        ({"dims": "23"}, "'dims' must be a list of integers, got '23'"),
+        ({"dims": [2.7]}, "dims entry must be an integer, got 2.7"),
+        ({"samples_per_dim": 2.9}, "samples_per_dim must be an integer, got 2.9"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"seed": "1"}, "seed must be an integer, got '1'"),
+        ({"delta": "0.001"}, "delta must be a number, got '0.001'"),
+        ({"slack": math.nan}, "slack must be finite and nonnegative"),
+        ({"slack": math.inf}, "slack must be finite and nonnegative"),
+        ({"inequalities": [{"id": "THM21_WYD", "alpha": "0.3"}]},
+         "bad THM21_WYD entry: alpha must be a number, got '0.3'"),
+        ({"inequalities": [{"id": "THM21_WYD", "alpha": True}]},
+         "bad THM21_WYD entry: alpha must be a number, got True"),
+        ({"inequalities": [{"id": "CHAIN_25", "alpha": [0.2, "0.4"]}]},
+         "bad CHAIN_25 entry: alpha must be a number, got '0.4'"),
+        ({"inequalities": [{"id": "THM22_GWYD", "alpha": 0.3, "beta": "0.2"}]},
+         "bad THM22_GWYD entry: beta must be a number, got '0.2'"),
+    ])
+    def test_malformed_number_exit_two(self, tmp_path, capsys, change, message):
+        doc = dict(small_config_doc(), **change)
+        assert main(["verify", write_config(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out and "VIOLATED" not in captured.out
+        assert message in captured.err
 
     def test_missing_file_exit_two(self):
         assert main(["verify", "/nonexistent/config.json"]) == 2
@@ -328,6 +354,7 @@ class TestCounterexample:
         (["--entry", '{"id": "THM21_WYD", "alpha": 0.3, "gamma": 1}'],
          "unknown keys for THM21_WYD: ['gamma']"),
         (["--entry", '{"alpha": 0.3}'], "must be an object with an 'id'"),
+        (["--entry", '{"id": "THM21_WYD", "alpha": "0.5"}'], "alpha must be a number, got '0.5'"),
     ])
     def test_bad_entry_exit_two(self, capsys, argv, message):
         assert main(["counterexample", "--budget", "5", *argv]) == 2

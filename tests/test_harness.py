@@ -190,7 +190,7 @@ class TestEvaluate:
 
         setting = InequalitySetting(id=InequalityId.COR41_PAIR, triple=pair(0.25))
         record = evaluate_inequality(setting, rho, a, b)
-        ua, ub = fgh_family(rho, a, pair(0.25), decomp=d), fgh_family(rho, b, pair(0.25))
+        ua, ub = fgh_family(rho, a, pair(0.25)), fgh_family(rho, b, pair(0.25))
         assert record.lhs == pytest.approx(ua.U * ub.U, rel=1e-12)
         assert fgh_eigensum(d, element_table(d, a), pair(0.25)).I == pytest.approx(ua.I, rel=1e-12)
 

@@ -230,7 +230,7 @@ class TestGwydFamily:
                 * (lam[i] ** a - lam[j] ** a) * (lam[i] ** b - lam[j] ** b)
                 for i in range(n) for j in range(n)
             ) / 2
-            got = gwyd_family(rho, h, alpha, beta, decomp=decomp).I
+            got = gwyd_family(rho, h, alpha, beta).I
             assert abs(got - ref) <= 1e-12 * abs(ref), (n, alpha, beta)
 
     def test_matches_power_triple_path(self):
@@ -295,7 +295,7 @@ class TestFghFamily:
         h = HermitianMatrix(SX)
         t = FunctionTriple(Power(p=0.25), Power(p=0.25), Power(p=0.5))
         d = hermitian_eigen(rho)
-        b = fgh_family(rho, h, t, decomp=d)
+        b = fgh_family(rho, h, t)
         s = fgh_eigensum(d, element_table(d, h), t)
         assert b.I == pytest.approx(s.I, rel=1e-10, abs=1e-14)
 
@@ -307,7 +307,7 @@ class TestFghFamily:
                 rho = random_density(n, rng)
                 h = random_hermitian(n, rng)
                 d = hermitian_eigen(rho)
-                b = fgh_family(rho, h, t, decomp=d)
+                b = fgh_family(rho, h, t)
                 s = fgh_eigensum(d, element_table(d, h), t)
                 assert rel_close(b.I, s.I, 1e-9)
                 assert rel_close(b.J, s.J_pairsum + s.J_diag, 1e-9)
@@ -328,24 +328,24 @@ class TestSharedDecomposition:
         wyd = wyd_family(rho, h, 0.3)
         fgh = fgh_family(rho, h, t)
         assert len(eigh_calls) == 1
-        d = hermitian_eigen(rho)
+        hermitian_eigen(rho)
         assert len(eigh_calls) == 1
-        assert wy == wy_skew(rho, h, decomp=d)
-        assert wyd == wyd_family(rho, h, 0.3, decomp=d)
-        assert fgh == fgh_family(rho, h, t, decomp=d)
+        assert wy == wy_skew(rho, h)
+        assert wyd == wyd_family(rho, h, 0.3)
+        assert fgh == fgh_family(rho, h, t)
 
 
 QUARTER = FunctionTriple(Power(p=0.25), Power(p=0.25), Power(p=0.5))
 
 
-def every_family(rho, h, decomp=None):
+def every_family(rho, h):
     return (
-        wy_skew(rho, h, decomp=decomp),
-        luo_u(rho, h, decomp=decomp),
-        wyd_family(rho, h, 0.3, decomp=decomp),
-        gwyd_family(rho, h, 0.2, 0.9, decomp=decomp),
-        gwyd_tilde_family(rho, h, 0.4, 1.3, decomp=decomp),
-        fgh_family(rho, h, QUARTER, decomp=decomp),
+        wy_skew(rho, h),
+        luo_u(rho, h),
+        wyd_family(rho, h, 0.3),
+        gwyd_family(rho, h, 0.2, 0.9),
+        gwyd_tilde_family(rho, h, 0.4, 1.3),
+        fgh_family(rho, h, QUARTER),
     )
 
 
@@ -388,15 +388,6 @@ class TestPairDataCache:
         twin = HermitianMatrix(h.entries)
         assert wy_skew(rho, h) == wy_skew(rho, twin)
         assert table_calls == [h, twin]
-
-    def test_explicit_decomposition_has_its_own_cache(self, table_calls):
-        rng = np.random.default_rng(34)
-        rho, h = random_density(4, rng), random_hermitian(4, rng)
-        other = hermitian_eigen(DensityMatrix(rho.entries))
-        assert other is not hermitian_eigen(rho)
-        assert wy_skew(rho, h) == wy_skew(rho, h, decomp=other)
-        wy_skew(rho, h, decomp=other)
-        assert len(table_calls) == 2
 
     def test_cached_arrays_are_read_only(self):
         rng = np.random.default_rng(35)
@@ -459,7 +450,7 @@ class TestEigensum:
             rho = random_density(4, rng)
             h = random_hermitian(4, rng)
             d = hermitian_eigen(rho)
-            b = fgh_family(rho, h, t, decomp=d)
+            b = fgh_family(rho, h, t)
             s = fgh_eigensum(d, element_table(d, h), t)
             assert s.J_pairsum <= b.J + 1e-10
             assert s.J_diag >= -1e-15
@@ -532,20 +523,14 @@ class TestInvariance:
 class TestBundle:
     def test_validation_u_consistency(self):
         with pytest.raises(ValueError, match="does not match"):
-            QuantityBundle(
-                family="WYD", params={}, I=1.0, J=1.0, U=2.0, V=1.0, path="trace_formula"
-            )
+            QuantityBundle(family="WYD", params={}, I=1.0, J=1.0, U=2.0, V=1.0)
 
     def test_validation_finite(self):
         with pytest.raises(ValueError, match="finite"):
-            QuantityBundle(
-                family="WYD", params={}, I=math.nan, J=1.0, U=1.0, V=1.0,
-                path="trace_formula",
-            )
+            QuantityBundle(family="WYD", params={}, I=math.nan, J=1.0, U=1.0, V=1.0)
 
     def test_json_shape(self):
         rho = DensityMatrix(np.diag([0.75, 0.25]))
         doc = wyd_family(rho, HermitianMatrix(SX), 0.5).to_json()
-        assert set(doc) == {"family", "I", "J", "U", "V", "path"}
+        assert set(doc) == {"family", "I", "J", "U", "V"}
         assert doc["family"] == {"kind": "WYD", "alpha": 0.5}
-        assert doc["path"] == "trace_formula"

@@ -101,7 +101,7 @@ def test_trace_formula_agrees_with_pair_sums(n, seed, floor, triple):
     rho_m, h_m = draw_pair(n, seed, floor)
     rho, h = DensityMatrix(rho_m), HermitianMatrix(h_m)
     d = hermitian_eigen(rho)
-    bundle = fgh_family(rho, h, triple, decomp=d)
+    bundle = fgh_family(rho, h, triple)
     pairs = fgh_eigensum(d, element_table(d, h), triple)
     scale = max(bundle.J, 1.0)
     assert close(bundle.I, pairs.I, scale)
