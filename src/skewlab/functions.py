@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DomainError
+from .linalg import DomainError, _real
 
 __all__ = [
     "DEFAULT_EPS",
@@ -52,6 +52,8 @@ PAIR_GRID = 512       # grid for the pairwise sign / divided-difference checks
 _PAIR_BLOCK = 1 << 16  # grid pairs evaluated at once by the pairwise scans
 _PAIR_TOL = 1e-12      # slack on the pair products, ratio signs and divided differences
 _LEMMA41_SLACK = 1e-12  # relative slack on the scalar inequality's margins
+# rounding of f g h: a two-point denominator up to this times max|f g h| is noise
+_PRODUCT_ROUNDING = 8.0 * np.finfo(float).eps
 
 
 class ScalarFunction:
@@ -199,10 +201,10 @@ def function_from_spec(doc: dict, eps: float | None = None) -> ScalarFunction:
         raise ValueError(f"function spec must be an object with a 'kind': {doc!r}")
     doc = dict(doc)
     kind = doc.pop("kind")
-    if kind not in _FUNCTION_FIELDS:
+    if not isinstance(kind, str) or kind not in _FUNCTION_FIELDS:
         raise ValueError(f"unknown function kind {kind!r}")
     if eps is None:
-        eps = float(doc.pop("eps", DEFAULT_EPS))
+        eps = _real("eps", doc.pop("eps", DEFAULT_EPS))
     else:
         doc.pop("eps", None)
     missing = [k for k in _FUNCTION_FIELDS[kind] if k not in doc]
@@ -212,13 +214,23 @@ def function_from_spec(doc: dict, eps: float | None = None) -> ScalarFunction:
     if extra:
         raise ValueError(f"unknown keys in function spec: {sorted(extra)}")
     if kind == "power":
-        return Power(p=float(doc["p"]), eps=eps)
+        return Power(p=_real("p", doc["p"]), eps=eps)
     if kind == "exp":
-        return Exp(a=float(doc["a"]), eps=eps)
+        return Exp(a=_real("a", doc["a"]), eps=eps)
     if kind == "const":
-        return Const(c=float(doc["c"]), eps=eps)
-    terms = tuple((float(c), float(p)) for c, p in doc["terms"])
-    return ScaledSum(terms=terms, eps=eps)
+        return Const(c=_real("c", doc["c"]), eps=eps)
+    terms = doc["terms"]
+    if not isinstance(terms, (list, tuple)) or not all(
+        isinstance(t, (list, tuple)) and len(t) == 2 for t in terms
+    ):
+        raise ValueError(f"scaled_sum terms must be [coefficient, exponent] pairs, got {terms!r}")
+    return ScaledSum(
+        terms=tuple(
+            (_real("scaled_sum coefficient", c), _real("scaled_sum exponent", p))
+            for c, p in terms
+        ),
+        eps=eps,
+    )
 
 
 def function_to_spec(fn: ScalarFunction) -> dict:
@@ -260,7 +272,7 @@ def triple_from_spec(doc: dict) -> FunctionTriple:
     if not isinstance(doc, dict):
         raise ValueError("triple spec must be a JSON object")
     doc = dict(doc)
-    eps = float(doc.pop("eps", DEFAULT_EPS))
+    eps = _real("eps", doc.pop("eps", DEFAULT_EPS))
     try:
         f = function_from_spec(doc.pop("f"), eps=eps)
         g = function_from_spec(doc.pop("g"), eps=eps)
@@ -400,6 +412,16 @@ def ratio_bounds(triple: FunctionTriple, k: int = RATIO_GRID) -> RatioBounds:
     return RatioBounds(m_g=m_g, M_g=M_g, m_h=m_h, M_h=M_h, grid_size=k)
 
 
+def _holds(ok: np.ndarray, lower: np.ndarray) -> bool:
+    """True when a row block's pair test ``ok`` holds on every pair i < j.
+
+    The block holds rows lo..hi-1 against columns lo+1..k-1; its pairs
+    j <= i are the cells of ``lower`` in the leading square, and pass.
+    """
+    ok[:, : lower.shape[0]] |= lower
+    return bool(ok.all())
+
+
 def check_assumption(triple: FunctionTriple, k_pairs: int = PAIR_GRID) -> Assumption:
     """Decide which divided-difference condition the triple satisfies.
 
@@ -426,22 +448,22 @@ def check_assumption(triple: FunctionTriple, k_pairs: int = PAIR_GRID) -> Assump
     lf = np.asarray(f.log_value(grid), dtype=float)
     lg = np.asarray(g.log_value(grid), dtype=float)
     lh = np.asarray(h.log_value(grid), dtype=float)
-    # every pair i < j, a block of rows at a time, so memory stays O(k)
+    # every pair i < j, a block of rows at a time, so memory stays O(k); each
+    # pair goes through the same operations as it would alone
     cond_i, cond_ii = fh_mono, fh_anti
     rows = max(1, _PAIR_BLOCK // k_pairs)
     for lo in range(0, k_pairs - 1, rows):
         hi = min(lo + rows, k_pairs - 1)
-        upper = np.arange(lo + 1, k_pairs) > np.arange(lo, hi)[:, None]
-        i, j = np.nonzero(upper)
-        i += lo
-        j += lo + 1
-        d_f = lf[j] - lf[i]
-        if np.any(d_f <= 0.0):
+        r, c = slice(lo, hi), slice(lo + 1, k_pairs)
+        lower = np.tri(hi - lo, k=-1, dtype=bool)
+        d_f = lf[None, c] - lf[r, None]
+        if not _holds(d_f > 0.0, lower):
             raise ValueError("f is not strictly increasing on the grid")
-        r_g = (lg[j] - lg[i]) / d_f
-        r_h = (lh[j] - lh[i]) / d_f
-        cond_i = cond_i and bool(np.all(1.0 + r_g <= r_h + _PAIR_TOL))
-        cond_ii = cond_ii and bool(np.all(1.0 + r_g + r_h >= -_PAIR_TOL))
+        with np.errstate(invalid="ignore"):  # 0/0 on the pairs j == i
+            r_g = (lg[None, c] - lg[r, None]) / d_f
+            r_h = (lh[None, c] - lh[r, None]) / d_f
+        cond_i = cond_i and _holds(1.0 + r_g <= r_h + _PAIR_TOL, lower)
+        cond_ii = cond_ii and _holds(1.0 + r_g + r_h >= -_PAIR_TOL, lower)
 
     if cond_i:
         return Assumption.I
@@ -484,8 +506,9 @@ def cor41_beta(m: float, big_m: float) -> float:
 def l_value(triple: FunctionTriple, x: float, y: float) -> float:
     """Two-point ratio (f^2 diff)(g^2 diff)(h sum)^2 / (fgh diff)^2.
 
-    Returns +inf when the denominator is negligible against the numerator
-    scale; the diagonal x == y is excluded (0/0).
+    Returns +inf when the denominator is excluded (see ``_excluded``): zero,
+    rounding noise of f g h, or negligible against the numerator scale. The
+    diagonal x == y is rejected (0/0).
     """
     if x == y:
         raise ValueError("diagonal x == y is excluded")
@@ -495,10 +518,21 @@ def l_value(triple: FunctionTriple, x: float, y: float) -> float:
     gx, gy = float(triple.g.value(x)), float(triple.g.value(y))
     hx, hy = float(triple.h.value(x)), float(triple.h.value(y))
     num = (fx**2 - fy**2) * (gx**2 - gy**2) * (hx + hy) ** 2
-    d = fx * gx * hx - fy * gy * hy
-    if abs(d) < 1e-14 * math.sqrt(abs(num)) or d == 0.0:
+    px, py = fx * gx * hx, fy * gy * hy
+    d = px - py
+    if _excluded(num, d, px, py):
         return math.inf
     return num / d**2
+
+
+def _excluded(num, den, px, py):
+    """True where the two-point ratio num / den^2 is excluded, with
+    den = px - py the difference of two values of f g h: where den is zero
+    or within the rounding of px and py, or negligible against the numerator
+    scale. Takes scalars or broadcastable arrays alike."""
+    return (np.abs(den) <= _PRODUCT_ROUNDING * np.maximum(np.abs(px), np.abs(py))) | (
+        np.abs(den) < 1e-14 * np.sqrt(np.abs(num))
+    )
 
 
 @dataclass(frozen=True)
@@ -513,14 +547,24 @@ def l_scan_min(triple: FunctionTriple, k: int = 200) -> LScanResult:
     """Minimum of the two-point ratio over all off-diagonal pairs of a
     k-point grid on [eps, 1], with the argmin pair.
 
-    A pair is excluded, as in ``l_value``, when its denominator is zero or
-    negligible against the numerator scale, so h == 0 gives inf rather than
-    0/0. The ratio is symmetric in (x, y) bit for bit, so only the pairs
-    i < j are evaluated, a block of rows at a time: O(k^2) time in O(k)
-    memory. The argmin is the first pair in row-major order, which always has
-    i < j; if every pair is excluded the result is (inf, grid[0], grid[0]).
-    A NaN ratio (from non-finite function values) is returned as the
-    minimum, as ``np.argmin`` would.
+    A pair is excluded, as in ``l_value``, when its denominator is zero,
+    within 8 rounding units of max |f g h|, or negligible against the
+    numerator scale. So h == 0 gives inf rather than 0/0, and a constant
+    f g h gives inf rather than a ratio of rounding noise. The ratio is
+    symmetric in (x, y) bit for bit, so only the pairs i < j are evaluated,
+    a block of rows at a time: O(k^2) time in O(k) memory. The argmin is the
+    first pair in row-major order, which always has i < j; if every pair is
+    excluded the result is (inf, grid[0], grid[0]). A NaN ratio (from
+    non-finite function values) is returned as the minimum, as ``np.argmin``
+    would.
+
+    The exclusion is applied lazily. A block's ratios are computed for every
+    pair, the pairs j <= i are set to +inf, and only the block's first argmin
+    (its first NaN, if it has one) is tested. Excluding pairs only turns
+    their values into +inf, which can neither undercut a kept candidate nor
+    put a NaN before it, so a kept candidate is exactly the first argmin of
+    the excluded block. Only a block whose candidate is excluded is masked
+    in full and searched again.
     """
     if k < 2:
         raise ValueError("scan grid needs at least 2 points")
@@ -533,21 +577,19 @@ def l_scan_min(triple: FunctionTriple, k: int = 200) -> LScanResult:
     rows = max(1, _PAIR_BLOCK // k)
     for lo in range(0, k - 1, rows):
         hi = min(lo + rows, k - 1)
-        r, c = slice(lo, hi), slice(lo + 1, k)   # pairs with j <= i are masked
-        values = np.subtract.outer(f2[r], f2[c])  # becomes num, then num / den^2
-        values *= np.subtract.outer(g2[r], g2[c])
-        scratch = np.square(np.add.outer(hv[r], hv[c]))
-        values *= scratch
+        r, c = slice(lo, hi), slice(lo + 1, k)
+        num = np.subtract.outer(f2[r], f2[c])
+        num *= np.subtract.outer(g2[r], g2[c])
+        num *= np.square(np.add.outer(hv[r], hv[c]))
         den = np.subtract.outer(prod[r], prod[c])
-        np.sqrt(np.abs(values, out=scratch), out=scratch)
-        bad = np.abs(den) < np.multiply(1e-14, scratch, out=scratch)
-        bad |= den == 0.0
-        bad |= np.arange(lo + 1, k) <= np.arange(lo, hi)[:, None]
-        den[bad] = 1.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            values /= np.square(den, out=den)
-        values[bad] = np.inf
+        with np.errstate(divide="ignore", invalid="ignore"):  # excluded pairs only
+            values = num / np.square(den)
+        # the pairs j <= i lie below the diagonal of the block's leading square
+        values[:, : hi - lo][np.tri(hi - lo, k=-1, dtype=bool)] = np.inf
         i, j = divmod(int(np.argmin(values)), values.shape[1])
+        if _excluded(num[i, j], den[i, j], prod[lo + i], prod[lo + 1 + j]):
+            values[_excluded(num, den, prod[r, None], prod[None, c])] = np.inf
+            i, j = divmod(int(np.argmin(values)), values.shape[1])
         value = float(values[i, j])
         if value < best or math.isnan(value):
             best, arg_i, arg_j = value, lo + i, lo + 1 + j

@@ -1,10 +1,11 @@
 """Complex matrix plumbing shared by every other module: Hermitian and
-density-matrix types, checked eigendecomposition, and observables in a
-state's eigenbasis."""
+density-matrix types, checked eigendecomposition, observables in a state's
+eigenbasis, and the type checks on numbers read from JSON."""
 
 from __future__ import annotations
 
 import functools
+import numbers
 import weakref
 from dataclasses import dataclass, field
 
@@ -40,6 +41,20 @@ ELEMENT_SYMMETRY_TOL = 1e-12  # element-table asymmetry over max(1, ||T||)
 
 class DomainError(ValueError):
     """An argument fell outside a function's or operator's numeric domain."""
+
+
+def _integer(key: str, value) -> int:
+    """An integer read from JSON: an integer that is not a boolean."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real(key: str, value) -> float:
+    """A real read from JSON: a number that is not a boolean."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
 
 
 class EigenDecompositionError(RuntimeError):

@@ -184,6 +184,26 @@ class TestVerify:
         assert "PASS" not in captured.out and "VIOLATED" not in captured.out
         assert message in captured.err
 
+    @pytest.mark.parametrize("entry, message", [
+        ({"id": "COR41_PAIR", "f": {"kind": "power", "p": 0.5},
+          "g": {"kind": "power", "p": 0.25}, "eps": "1e-9"},
+         "bad COR41_PAIR entry: eps must be a number, got '1e-9'"),
+        ({"id": "COR41_PAIR", "f": {"kind": "power", "p": 0.5},
+          "g": {"kind": "power", "p": True}},
+         "bad COR41_PAIR entry: p must be a number, got True"),
+        ({"id": "THM31_FGH", "triple": dict(json.loads(QUARTER), eps="1e-9")},
+         "bad THM31_FGH entry: eps must be a number, got '1e-9'"),
+        ({"id": "THM31_FGH", "triple": dict(json.loads(QUARTER),
+                                            h={"kind": "power", "p": "0.5"})},
+         "bad THM31_FGH entry: p must be a number, got '0.5'"),
+    ])
+    def test_non_number_in_function_entry_exit_two(self, tmp_path, capsys, entry, message):
+        doc = dict(small_config_doc(), inequalities=[entry])
+        assert main(["verify", write_config(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out and "VIOLATED" not in captured.out
+        assert message in captured.err
+
     def test_missing_file_exit_two(self):
         assert main(["verify", "/nonexistent/config.json"]) == 2
 
@@ -239,6 +259,31 @@ class TestBeta:
 
     def test_bad_triple_exit_two(self, capsys):
         assert main(["beta", "--triple", '{"f": {"kind": "nope"}}']) == 2
+
+    @pytest.mark.parametrize("change, message", [
+        ({"f": {"kind": "power", "p": "0.25"}}, "p must be a number, got '0.25'"),
+        ({"g": {"kind": "power", "p": True}}, "p must be a number, got True"),
+        ({"eps": "1e-6"}, "eps must be a number, got '1e-6'"),
+        ({"h": {"kind": "exp", "a": "2"}}, "a must be a number, got '2'"),
+        ({"h": {"kind": "const", "c": False}}, "c must be a number, got False"),
+        ({"g": {"kind": "scaled_sum", "terms": [[1.0, "2"]]}},
+         "scaled_sum exponent must be a number, got '2'"),
+        ({"g": {"kind": "scaled_sum", "terms": [[True, 2.0]]}},
+         "scaled_sum coefficient must be a number, got True"),
+        ({"g": {"kind": "scaled_sum", "terms": [1.0]}},
+         "scaled_sum terms must be [coefficient, exponent] pairs, got [1.0]"),
+        ({"f": {"kind": ["power"], "p": 1.0}}, "unknown function kind ['power']"),
+        # float() would read this spec with g = x^1
+        ({"f": {"kind": "power", "p": "0.25"}, "g": {"kind": "power", "p": True},
+          "eps": "1e-6"}, "eps must be a number, got '1e-6'"),
+    ])
+    def test_non_number_in_spec_exit_two(self, capsys, change, message):
+        doc = dict(json.loads(QUARTER), **change)
+        for command in ("beta", "pairs", "scan-l"):
+            assert main([command, "--triple", json.dumps(doc)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert message in captured.err
 
     def test_triple_from_file(self, tmp_path, capsys):
         path = tmp_path / "triple.json"
@@ -384,6 +429,17 @@ def test_python_dash_m_runs_cli(module):
     )
     assert proc.returncode == 0, proc.stderr
     assert float(parsed_values(proc.stdout)["beta"]) == pytest.approx(0.0625)
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    # only `verify --threads N` with N > 1 needs the process pool
+    src = str(Path(skewlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, skewlab.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestUsage:

@@ -49,7 +49,8 @@ def dense_l_scan_min(triple: FunctionTriple, k: int) -> LScanResult:
     )
     prod = fv * gv * hv
     den = prod[:, None] - prod[None, :]
-    bad = (np.abs(den) < 1e-14 * np.sqrt(np.abs(num))) | (den == 0.0)
+    rounding = 8 * np.finfo(float).eps * np.maximum(np.abs(prod[:, None]), np.abs(prod[None, :]))
+    bad = (np.abs(den) < 1e-14 * np.sqrt(np.abs(num))) | (den == 0.0) | (np.abs(den) <= rounding)
     np.fill_diagonal(bad, True)
     with np.errstate(divide="ignore", invalid="ignore"):
         values = np.where(bad, np.inf, num / np.where(bad, 1.0, den) ** 2)
@@ -151,15 +152,13 @@ def test_l_scan_min_matches_dense_above_2048(triple, k):
 @PROPERTY
 @given(eps=st.floats(1e-6, 1e-2), k=small_grids, block=blocks)
 def test_constant_product_triple_matches_dense(eps, k, block):
-    # f g h == 1 up to rounding: pairs are excluded unless rounding leaves a
-    # denominator above the mask, which happens on some grids near x = 1
+    # f g h == 1 up to rounding, which the rounding bound on den excludes
     t = FunctionTriple(Power(p=1.0, eps=eps), Power(p=1.0, eps=eps),
                        Power(p=-2.0, eps=eps), eps=eps)
     with patch.object(functions, "_PAIR_BLOCK", block):
         got = l_scan_min(t, k)
     assert repr(got) == repr(dense_l_scan_min(t, k))
-    if got.min_value == np.inf:
-        assert got == LScanResult(min_value=np.inf, arg_x=eps, arg_y=eps, grid_size=k)
+    assert got == LScanResult(min_value=np.inf, arg_x=eps, arg_y=eps, grid_size=k)
 
 
 @pytest.mark.parametrize("k", [2, 3, 50, 51])
@@ -170,12 +169,55 @@ def test_constant_product_triple_all_inf(k):
     assert l_scan_min(t, k) == want == dense_l_scan_min(t, k)
 
 
+@pytest.mark.parametrize("k", [200, 2000])
+def test_constant_product_triple_excluded_at_its_rounding(k):
+    # f g h == 1 up to rounding, so every denominator is rounding noise of
+    # about 1e-16; near x = 1 that noise beats 1e-14 * sqrt|num|, and only a
+    # bound scaled by |f g h| itself excludes it
+    eps = 1e-6
+    t = FunctionTriple(Power(p=1.0), Power(p=1.0), Power(p=-2.0))
+    assert l_scan_min(t, k) == LScanResult(min_value=np.inf, arg_x=eps, arg_y=eps, grid_size=k)
+    grid = np.linspace(eps, 1.0, k)
+    assert all(functions.l_value(t, x, y) == np.inf for x, y in zip(grid[:-1], grid[1:]))
+
+
 def test_zero_h_excludes_every_pair():
     # f g h == 0 on the whole grid: every pair is 0/0, which l_value calls inf
     eps = 1e-6
     t = FunctionTriple(Power(p=1.0), Power(p=0.5), Const(c=0.0))
     assert l_scan_min(t, 50) == LScanResult(min_value=np.inf, arg_x=eps, arg_y=eps, grid_size=50)
     assert functions.l_value(t, 0.25, 0.5) == np.inf
+
+
+# Triples whose raw block minimum falls on an excluded pair, so that
+# l_scan_min masks the block in full and searches it again.
+FALLBACK_TRIPLES = {
+    # f g h == 0: every pair is 0/0
+    "zero-h": FunctionTriple(Power(p=1.0), Power(p=0.5), Const(c=0.0)),
+    # f g h == 1 up to rounding
+    "constant-product": FunctionTriple(Power(p=1.0), Power(p=1.0), Power(p=-2.0)),
+    # num < 0 and den at the rounding of f g h, so the raw ratio is below -1e28
+    "negative-tiny-den": FunctionTriple(Power(p=1.0), Power(p=-1.0), Exp(a=1e-12)),
+}
+
+
+@pytest.mark.parametrize("name", FALLBACK_TRIPLES)
+@pytest.mark.parametrize("k", [2, 3, 50, 200, 701])
+@pytest.mark.parametrize("block", [1, 7, 64, functions._PAIR_BLOCK])
+def test_l_scan_min_fallback_matches_dense(name, k, block):
+    triple = FALLBACK_TRIPLES[name]
+    excluded = functions._excluded
+    masked = []
+
+    def spy(num, den, px, py):
+        masked.append(np.ndim(num) > 0)
+        return excluded(num, den, px, py)
+
+    with patch.object(functions, "_PAIR_BLOCK", block), \
+            patch.object(functions, "_excluded", spy):
+        got = l_scan_min(triple, k)
+    assert any(masked), "no block fell back to the full mask"
+    assert repr(got) == repr(dense_l_scan_min(triple, k))
 
 
 # ------------------------------------------------------------- pair condition
@@ -282,3 +324,18 @@ def test_check_assumption_matches_triu_form_on_known_triples(triple, block):
     with patch.object(functions, "_PAIR_BLOCK", block):
         got = check_assumption(triple, 600)
     assert got == triu_check_assumption(triple, 600)
+
+
+@pytest.mark.parametrize("triple", [
+    FunctionTriple(Power(p=0.25), Power(p=0.25), Power(p=0.5)),   # condition I
+    FunctionTriple(Power(p=1.0), Power(p=2.0), Const(c=1.0)),     # condition II
+    FunctionTriple(Power(p=1.0), Power(p=1.0), Exp(a=-3.0)),      # neither
+    FunctionTriple(Exp(a=1.0), Exp(a=0.5), Exp(a=2.0)),           # condition I
+    FunctionTriple(Power(p=1.0), ScaledSum(((1.0, 1.0), (1.0, 2.0))), Power(p=-0.25)),
+])
+@pytest.mark.parametrize("k_pairs", [2, 3, 130, 512])
+@pytest.mark.parametrize("block", [1, 7, 64, functions._PAIR_BLOCK])
+def test_check_assumption_matches_triu_form_on_grid_sizes(triple, k_pairs, block):
+    with patch.object(functions, "_PAIR_BLOCK", block):
+        got = _outcome(check_assumption, triple, k_pairs)
+    assert got == _outcome(triu_check_assumption, triple, k_pairs)
