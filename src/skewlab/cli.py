@@ -223,7 +223,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (ConfigError, DomainError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, DomainError, ValueError, OverflowError, OSError,
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

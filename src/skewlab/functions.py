@@ -9,6 +9,7 @@ eigenvalue of any state the functions are later applied to.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -552,11 +553,12 @@ def l_scan_min(triple: FunctionTriple, k: int = 200) -> LScanResult:
     numerator scale. So h == 0 gives inf rather than 0/0, and a constant
     f g h gives inf rather than a ratio of rounding noise. The ratio is
     symmetric in (x, y) bit for bit, so only the pairs i < j are evaluated,
-    a block of rows at a time: O(k^2) time in O(k) memory. The argmin is the
-    first pair in row-major order, which always has i < j; if every pair is
-    excluded the result is (inf, grid[0], grid[0]). A NaN ratio (from
-    non-finite function values) is returned as the minimum, as ``np.argmin``
-    would.
+    a block of rows at a time: O(k^2) time in O(k) memory. The three
+    rows x (k - 1) float buffers are allocated once per call, and each block
+    works in reshaped views of them. The argmin is the first pair in
+    row-major order, which always has i < j; if every pair is excluded the
+    result is (inf, grid[0], grid[0]). A NaN ratio (from non-finite function
+    values) is returned as the minimum, as ``np.argmin`` would.
 
     The exclusion is applied lazily. A block's ratios are computed for every
     pair, the pairs j <= i are set to +inf, and only the block's first argmin
@@ -574,18 +576,23 @@ def l_scan_min(triple: FunctionTriple, k: int = 200) -> LScanResult:
     hv = np.asarray(triple.h.value(grid), dtype=float)
     f2, g2, prod = fv**2, gv**2, fv * gv * hv
     best, arg_i, arg_j = math.inf, 0, 0
-    rows = max(1, _PAIR_BLOCK // k)
+    rows = min(max(1, _PAIR_BLOCK // k), k - 1)
+    num_buf, den_buf, val_buf = (np.empty(rows * (k - 1)) for _ in range(3))
+    # the pairs j <= i lie below the diagonal of a block's leading square
+    lower = np.tri(rows, k=-1, dtype=bool)
     for lo in range(0, k - 1, rows):
         hi = min(lo + rows, k - 1)
         r, c = slice(lo, hi), slice(lo + 1, k)
-        num = np.subtract.outer(f2[r], f2[c])
-        num *= np.subtract.outer(g2[r], g2[c])
-        num *= np.square(np.add.outer(hv[r], hv[c]))
-        den = np.subtract.outer(prod[r], prod[c])
+        shape = (hi - lo, k - 1 - lo)
+        size = shape[0] * shape[1]
+        num, den, values = (buf[:size].reshape(shape) for buf in (num_buf, den_buf, val_buf))
+        np.subtract.outer(f2[r], f2[c], out=num)
+        num *= np.subtract.outer(g2[r], g2[c], out=values)
+        num *= np.square(np.add.outer(hv[r], hv[c], out=values), out=values)
+        np.subtract.outer(prod[r], prod[c], out=den)
         with np.errstate(divide="ignore", invalid="ignore"):  # excluded pairs only
-            values = num / np.square(den)
-        # the pairs j <= i lie below the diagonal of the block's leading square
-        values[:, : hi - lo][np.tri(hi - lo, k=-1, dtype=bool)] = np.inf
+            np.divide(num, np.square(den, out=values), out=values)
+        values[:, : hi - lo][lower[: hi - lo, : hi - lo]] = np.inf
         i, j = divmod(int(np.argmin(values)), values.shape[1])
         if _excluded(num[i, j], den[i, j], prod[lo + i], prod[lo + 1 + j]):
             values[_excluded(num, den, prod[r, None], prod[None, c])] = np.inf
@@ -613,22 +620,35 @@ def lemma41_lhs(a: float, b: float, c: float, r):
     """(e^{2ar}-1)(e^{2br}-1)(e^{cr}+1)^2 / (e^{(a+b+c)r}-1)^2, with the r -> 0
     limit 16ab/(a+b+c)^2 substituted at r == 0. Stable near zero via expm1.
     At a + b + c = 0 the denominator vanishes for every r, and that case
-    raises ValueError."""
+    raises ValueError.
+
+    Takes a scalar r, which runs as a one-element array and returns a float,
+    or an array of any shape, which returns a new array of that shape. The
+    work is done in two buffers of r's size, written with ``out=`` ufuncs
+    in the order of the whole-array expression, so every array result has
+    the same bits as that expression. Overflow is not reported here: where
+    the exponentials overflow the value can be inf or NaN, which the caller
+    must check for, as ``lemma41_check`` does.
+    """
     if a + b + c == 0:
         raise ValueError(f"lemma41_lhs is undefined at a + b + c = 0 (a={a}, b={b}, c={c})")
     r_arr = np.asarray(r, dtype=float)
+    scalar = r_arr.ndim == 0
+    r_arr = np.atleast_1d(r_arr)
     limit = 16.0 * a * b / (a + b + c) ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        num = (
-            np.expm1(2.0 * a * r_arr)
-            * np.expm1(2.0 * b * r_arr)
-            * (np.exp(c * r_arr) + 1.0) ** 2
-        )
-        den = np.expm1((a + b + c) * r_arr) ** 2
-        out = np.where(r_arr == 0.0, limit, num / np.where(den == 0.0, 1.0, den))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    out, tmp = np.empty(r_arr.shape), np.empty(r_arr.shape)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.expm1(np.multiply(2.0 * a, r_arr, out=out), out=out)
+        out *= np.expm1(np.multiply(2.0 * b, r_arr, out=tmp), out=tmp)
+        np.exp(np.multiply(c, r_arr, out=tmp), out=tmp)
+        tmp += 1.0
+        out *= np.square(tmp, out=tmp)
+        np.expm1(np.multiply(a + b + c, r_arr, out=tmp), out=tmp)
+        np.square(tmp, out=tmp)
+        tmp[tmp == 0.0] = 1.0
+        out /= tmp
+    out[r_arr == 0.0] = limit
+    return float(out[0]) if scalar else out
 
 
 @dataclass(frozen=True)
@@ -645,6 +665,16 @@ class Lemma41Report:
     margins: np.ndarray = field(repr=False)
 
 
+@functools.lru_cache(maxsize=1)
+def _default_r_grid(rmax: float, steps: int) -> np.ndarray:
+    """The read-only default grid of ``lemma41_check``: ``steps`` points on
+    [-rmax, rmax] minus the band |r| < 1e-4, kept for the last size used."""
+    grid = np.linspace(-rmax, rmax, steps)
+    grid = grid[np.abs(grid) >= 1e-4]
+    grid.flags.writeable = False
+    return grid
+
+
 def lemma41_check(
     a: float,
     b: float,
@@ -656,29 +686,47 @@ def lemma41_check(
 ) -> Lemma41Report:
     """Margins of the scalar exponential inequality over an r grid.
 
-    The parameters must satisfy one of the two admissible regimes
-    (a, b, c >= 0 with 0 < a + b <= c, or a, b >= 0, c <= 0 with
+    The parameters must be finite and satisfy one of the two admissible
+    regimes (a, b, c >= 0 with 0 < a + b <= c, or a, b >= 0, c <= 0 with
     a + b + c > 0). The band |r| < 1e-4 is excluded from the grid to avoid
     cancellation; the r -> 0 limit is checked separately. A margin below
     -1e-12 * max(1, rhs) counts as a violation, which absorbs float noise on
     the equality family (a == b with c == a + b makes the margin identically
-    zero).
+    zero). An lhs that is not finite, where its exponentials overflow, raises
+    ValueError naming the first such r, so that no NaN margin reads as a pass.
+
+    The default grid (``steps`` points on [-rmax, rmax]) is built once and
+    shared, read-only, by every report of the same (rmax, steps); a grid
+    passed in is filtered into an array of its own. The margins are the
+    array ``lemma41_lhs`` returns, with rhs subtracted in place.
     """
+    for name, value in (("a", a), ("b", b), ("c", c), ("rmax", rmax)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if not _lemma41_regime_ok(a, b, c):
         raise ValueError(
             f"parameters (a={a}, b={b}, c={c}) violate both admissible regimes"
         )
     if r_grid is None:
-        r_grid = np.linspace(-rmax, rmax, steps)
-    r_grid = np.asarray(r_grid, dtype=float)
-    r_grid = r_grid[np.abs(r_grid) >= 1e-4]
+        r_grid = _default_r_grid(rmax, steps)
+    else:
+        r_grid = np.asarray(r_grid, dtype=float)
+        r_grid = r_grid[np.abs(r_grid) >= 1e-4]
     if r_grid.size == 0:
         raise ValueError("r grid is empty after excluding the |r| < 1e-4 band")
     rhs = 16.0 * a * b / (a + b + c) ** 2
-    margins = np.asarray(lemma41_lhs(a, b, c, r_grid), dtype=float) - rhs
+    margins = lemma41_lhs(a, b, c, r_grid)
+    finite = np.isfinite(margins)
+    if not finite.all():
+        bad = float(r_grid[np.argmin(finite)])
+        raise ValueError(
+            f"lemma41 lhs is not finite at r = {bad!r} (a={a}, b={b}, c={c}): "
+            "its exponentials overflow there, so choose a smaller rmax"
+        )
+    margins -= rhs
     worst = int(np.argmin(margins))
-    violations = int(np.sum(margins < -_LEMMA41_SLACK * max(1.0, rhs)))
-    limit_gap = abs(float(lemma41_lhs(a, b, c, 1e-6)) - rhs)
+    violations = int(np.count_nonzero(margins < -_LEMMA41_SLACK * max(1.0, rhs)))
+    limit_gap = abs(lemma41_lhs(a, b, c, 1e-6) - rhs)
     return Lemma41Report(
         a=a,
         b=b,

@@ -214,8 +214,8 @@ class CampaignConfig:
             raise ConfigError("at most 256 inequality entries are supported")
         if not (0.0 < self.delta < 1.0):
             raise ConfigError("delta must lie in (0, 1)")
-        if not (0.0 <= self.slack < math.inf):
-            raise ConfigError("slack must be finite and nonnegative")
+        if self.slack < 0.0:
+            raise ConfigError("slack must be nonnegative")
         # a sampled state's smallest eigenvalue is at least delta / n
         floor = self.delta / max(self.dims)
         for s in self.inequalities:

@@ -5,6 +5,7 @@ eigenbasis, and the type checks on numbers read from JSON."""
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 import weakref
 from dataclasses import dataclass, field
@@ -51,10 +52,14 @@ def _integer(key: str, value) -> int:
 
 
 def _real(key: str, value) -> float:
-    """A real read from JSON: a number that is not a boolean."""
+    """A real read from JSON: a finite number that is not a boolean. Python's
+    json reads NaN and Infinity, which would turn into NaN margins later."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {value!r}")
+    return value
 
 
 class EigenDecompositionError(RuntimeError):

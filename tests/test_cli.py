@@ -166,8 +166,8 @@ class TestVerify:
         ({"seed": True}, "seed must be an integer, got True"),
         ({"seed": "1"}, "seed must be an integer, got '1'"),
         ({"delta": "0.001"}, "delta must be a number, got '0.001'"),
-        ({"slack": math.nan}, "slack must be finite and nonnegative"),
-        ({"slack": math.inf}, "slack must be finite and nonnegative"),
+        ({"slack": math.nan}, "slack must be finite, got nan"),
+        ({"slack": math.inf}, "slack must be finite, got inf"),
         ({"inequalities": [{"id": "THM21_WYD", "alpha": "0.3"}]},
          "bad THM21_WYD entry: alpha must be a number, got '0.3'"),
         ({"inequalities": [{"id": "THM21_WYD", "alpha": True}]},
@@ -176,6 +176,7 @@ class TestVerify:
          "bad CHAIN_25 entry: alpha must be a number, got '0.4'"),
         ({"inequalities": [{"id": "THM22_GWYD", "alpha": 0.3, "beta": "0.2"}]},
          "bad THM22_GWYD entry: beta must be a number, got '0.2'"),
+        ({"slack": -1e-9}, "slack must be nonnegative"),
     ])
     def test_malformed_number_exit_two(self, tmp_path, capsys, change, message):
         doc = dict(small_config_doc(), **change)
@@ -196,6 +197,17 @@ class TestVerify:
         ({"id": "THM31_FGH", "triple": dict(json.loads(QUARTER),
                                             h={"kind": "power", "p": "0.5"})},
          "bad THM31_FGH entry: p must be a number, got '0.5'"),
+        # Python's json reads NaN and Infinity; a NaN margin would read as a
+        # disproof (VIOLATED, exit 1)
+        ({"id": "THM22_GWYD", "alpha": 0.1, "beta": math.inf},
+         "bad THM22_GWYD entry: beta must be finite, got inf"),
+        ({"id": "THM21_WYD", "alpha": math.nan},
+         "bad THM21_WYD entry: alpha must be finite, got nan"),
+        ({"id": "CHAIN_25", "alpha": [0.2, -math.inf]},
+         "bad CHAIN_25 entry: alpha must be finite, got -inf"),
+        ({"id": "THM31_FGH", "triple": dict(json.loads(QUARTER),
+                                            h={"kind": "power", "p": math.inf})},
+         "bad THM31_FGH entry: p must be finite, got inf"),
     ])
     def test_non_number_in_function_entry_exit_two(self, tmp_path, capsys, entry, message):
         doc = dict(small_config_doc(), inequalities=[entry])
@@ -276,6 +288,14 @@ class TestBeta:
         # float() would read this spec with g = x^1
         ({"f": {"kind": "power", "p": "0.25"}, "g": {"kind": "power", "p": True},
           "eps": "1e-6"}, "eps must be a number, got '1e-6'"),
+        # json.dumps writes these as Infinity and NaN, which json.loads reads
+        ({"h": {"kind": "power", "p": math.inf}}, "p must be finite, got inf"),
+        ({"f": {"kind": "power", "p": math.nan}}, "p must be finite, got nan"),
+        ({"g": {"kind": "exp", "a": -math.inf}}, "a must be finite, got -inf"),
+        ({"h": {"kind": "const", "c": math.inf}}, "c must be finite, got inf"),
+        ({"g": {"kind": "scaled_sum", "terms": [[1.0, math.nan]]}},
+         "scaled_sum exponent must be finite, got nan"),
+        ({"eps": math.inf}, "eps must be finite, got inf"),
     ])
     def test_non_number_in_spec_exit_two(self, capsys, change, message):
         doc = dict(json.loads(QUARTER), **change)
@@ -284,6 +304,18 @@ class TestBeta:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert message in captured.err
+
+    def test_overflowing_ratio_exit_two(self, capsys):
+        # g.p / f.p = 1e200, whose square in the corner coefficient overflows
+        triple = json.dumps({
+            "f": {"kind": "power", "p": 1e-200},
+            "g": {"kind": "power", "p": 1.0},
+            "h": {"kind": "power", "p": 1.0},
+        })
+        assert main(["beta", "--triple", triple]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     def test_triple_from_file(self, tmp_path, capsys):
         path = tmp_path / "triple.json"
@@ -342,6 +374,31 @@ class TestLemma41:
     def test_regime_violation_exit_two(self, capsys):
         assert main(["lemma41", "--a", "1", "--b", "1", "--c", "0.5"]) == 2
         assert "regime" in capsys.readouterr().err
+
+    def test_overflowing_lhs_exit_two(self, capsys):
+        # e^{4r} overflows from r = 177.45 on, which made NaN margins and exit 0
+        assert main(["lemma41", "--a", "0.5", "--b", "0.5", "--c", "1",
+                     "--rmax", "1000", "--steps", "7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not finite at r = 333.33333333333326" in captured.err
+
+    @pytest.mark.parametrize("args, name", [
+        (["--a", "0.5", "--b", "0.5", "--c", "inf"], "c"),
+        (["--a", "nan", "--b", "0.5", "--c", "1"], "a"),
+        (["--a", "0.5", "--b", "0.5", "--c", "1", "--rmax", "inf"], "rmax"),
+    ])
+    def test_non_finite_argument_exit_two(self, capsys, args, name):
+        assert main(["lemma41", *args, "--steps", "7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {name} must be finite" in captured.err
+
+    def test_overflowing_parameters_exit_two(self, capsys):
+        assert main(["lemma41", "--a", "1e200", "--b", "1e200", "--c", "1e201"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
 
 class TestCounterexample:

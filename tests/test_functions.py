@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewlab.functions import (
     Assumption,
@@ -358,6 +360,27 @@ class TestLemma41:
         rep = lemma41_check(0.5, 0.5, 1.0, r_grid=np.linspace(-1, 1, 101))
         assert np.all(np.abs(rep.r_grid) >= 1e-4)
 
+    def test_overflow_is_an_error_not_a_pass(self):
+        # e^{4r} overflows past r = 177.45, and inf / inf gave NaN margins
+        # that counted as no violation
+        with pytest.raises(ValueError, match=r"not finite at r = 178\.089044522261"):
+            lemma41_check(0.5, 0.5, 1.0, rmax=800)
+        # the second regime overflows on the negative side, where e^{cr} grows
+        with pytest.raises(ValueError, match=r"not finite at r = -"):
+            lemma41_check(1.0, 1.0, -1.5, rmax=800)
+
+    @pytest.mark.parametrize("name, args, kwargs", [
+        ("a", (math.nan, 0.5, 1.0), {}),
+        ("b", (0.5, math.inf, 1.0), {}),
+        ("c", (0.5, 0.5, math.inf), {}),
+        ("c", (0.5, 0.5, -math.inf), {}),
+        ("rmax", (0.5, 0.5, 1.0), {"rmax": math.inf}),
+        ("rmax", (0.5, 0.5, 1.0), {"rmax": math.nan}),
+    ])
+    def test_non_finite_parameters_rejected(self, name, args, kwargs):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            lemma41_check(*args, **kwargs)
+
     def test_random_parameters_no_violations(self):
         rng = np.random.default_rng(21)
         for _ in range(10):
@@ -368,3 +391,99 @@ class TestLemma41:
             a, b = rng.uniform(0.1, 1.5, 2)
             c = -rng.uniform(0, 0.9) * (a + b)
             assert lemma41_check(a, b, c, steps=500).violations == 0
+
+
+def reference_lemma41_lhs(a, b, c, r):
+    """``lemma41_lhs`` as one expression of whole arrays, the form it had
+    before it wrote into preallocated buffers."""
+    r_arr = np.asarray(r, dtype=float)
+    limit = 16.0 * a * b / (a + b + c) ** 2
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        num = (
+            np.expm1(2.0 * a * r_arr)
+            * np.expm1(2.0 * b * r_arr)
+            * (np.exp(c * r_arr) + 1.0) ** 2
+        )
+        den = np.expm1((a + b + c) * r_arr) ** 2
+        return np.where(r_arr == 0.0, limit, num / np.where(den == 0.0, 1.0, den))
+
+
+@st.composite
+def lemma41_parameters(draw):
+    """(a, b, c) in either admissible regime, edges included."""
+    a = draw(st.sampled_from([0.0]) | st.floats(0.0, 5.0))
+    b = draw(st.floats(1e-3, 5.0))
+    if draw(st.booleans()):
+        c = (a + b) * draw(st.sampled_from([1.0]) | st.floats(1.0, 4.0))
+    else:
+        c = -(a + b) * draw(st.sampled_from([0.0]) | st.floats(0.0, 0.99))
+    return a, b, c
+
+
+r_values = st.sampled_from([0.0, 1e-300, -1e-6]) | st.floats(-300.0, 300.0)
+
+
+class TestLemma41Buffers:
+    """``lemma41_lhs`` writes into two buffers with ``out=`` ufuncs in the
+    order of the whole-array expression, so no array result moves a bit."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(abc=lemma41_parameters(), r=st.lists(r_values, min_size=1, max_size=40))
+    def test_array_results_match_reference_bit_for_bit(self, abc, r):
+        a, b, c = abc
+        r = np.array(r + [0.0])
+        got = lemma41_lhs(a, b, c, r)
+        want = reference_lemma41_lhs(a, b, c, r)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_two_dimensional_input_keeps_its_shape(self):
+        r = np.linspace(-2.0, 2.0, 12).reshape(3, 4)
+        got = lemma41_lhs(0.5, 0.5, 1.0, r)
+        assert got.shape == (3, 4)
+        assert got.tobytes() == reference_lemma41_lhs(0.5, 0.5, 1.0, r).tobytes()
+
+    def test_does_not_write_to_its_input(self):
+        r = np.linspace(-2.0, 2.0, 11)
+        before = r.copy()
+        lemma41_lhs(0.5, 0.5, 1.0, r)
+        assert r.tobytes() == before.tobytes()
+
+    def test_scalar_equals_one_element_array(self):
+        # the float64 scalar `**2` calls pow, one ulp away from the array square
+        args = (1.0592845708622913, 1.4722643055481293, 4.380232749344668)
+        r = 6.001760873692383
+        got = lemma41_lhs(*args, r)
+        assert type(got) is float
+        assert got == lemma41_lhs(*args, np.array([r]))[0] == 0.9999969736098938
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(abc=lemma41_parameters(), r=r_values)
+    def test_scalar_path_is_the_array_path(self, abc, r):
+        a, b, c = abc
+        got = lemma41_lhs(a, b, c, r)
+        assert type(got) is float
+        want = float(lemma41_lhs(a, b, c, np.array([r]))[0])
+        assert repr(got) == repr(want)
+
+    def test_default_grid_is_shared_and_read_only(self):
+        first = lemma41_check(0.5, 0.5, 1.0, rmax=7.0, steps=301)
+        second = lemma41_check(1.0, 1.0, -0.5, rmax=7.0, steps=301)
+        assert first.r_grid is second.r_grid
+        assert not first.r_grid.flags.writeable
+        with pytest.raises(ValueError):
+            first.r_grid[0] = 0.0
+        grid = np.linspace(-7.0, 7.0, 301)
+        assert first.r_grid.tobytes() == grid[np.abs(grid) >= 1e-4].tobytes()
+        assert not np.shares_memory(first.margins, second.margins)
+
+    def test_callers_grid_is_filtered_into_its_own_array(self):
+        grid = np.linspace(-1.0, 1.0, 101)
+        before = grid.copy()
+        rep = lemma41_check(0.5, 0.5, 1.0, r_grid=grid)
+        assert not np.shares_memory(rep.r_grid, grid)
+        assert rep.r_grid.flags.writeable
+        assert grid.tobytes() == before.tobytes()
+        assert rep.r_grid.tobytes() == grid[np.abs(grid) >= 1e-4].tobytes()
+        want = reference_lemma41_lhs(0.5, 0.5, 1.0, rep.r_grid) - rep.rhs
+        assert rep.margins.tobytes() == want.tobytes()
