@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import closing
 from importlib import resources
 
 from .functions import (
@@ -79,8 +80,9 @@ def _cmd_verify(args) -> int:
                 fh.write(report.to_json_text())
                 fh.write("\n")
             else:
-                for row in report.csv_rows():
-                    fh.write(row + "\n")
+                # closed on a failed write too, which stops the workers
+                with closing(report.csv_rows(args.threads)) as text:
+                    fh.writelines(text)
         print(f"report written to {args.out} ({fmt})")
     return 1 if report.failed else 0
 

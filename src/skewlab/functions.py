@@ -488,7 +488,12 @@ def beta_coefficient(bounds: RatioBounds) -> float:
                 raise ValueError(
                     f"degenerate denominator: 1 + {k!r} + {ell!r} vanishes"
                 )
-            corners.append(k / den**2)
+            try:
+                corners.append(k / den**2)
+            except OverflowError:
+                raise OverflowError(
+                    f"beta corner k/(1+k+l)^2 overflows at k = {k!r}, l = {ell!r}"
+                ) from None
     return max(min(corners), 0.0)
 
 
@@ -651,6 +656,13 @@ def lemma41_lhs(a: float, b: float, c: float, r):
     return float(out[0]) if scalar else out
 
 
+def _lemma41_den_sq(s: float, r: np.ndarray) -> np.ndarray:
+    """``lemma41_lhs``'s squared denominator expm1(s r)^2 at each r, by the
+    same operations, so it is infinite exactly where that one is."""
+    with np.errstate(over="ignore"):
+        return np.square(np.expm1(np.multiply(s, r)))
+
+
 @dataclass(frozen=True)
 class Lemma41Report:
     a: float
@@ -694,6 +706,11 @@ def lemma41_check(
     the equality family (a == b with c == a + b makes the margin identically
     zero). An lhs that is not finite, where its exponentials overflow, raises
     ValueError naming the first such r, so that no NaN margin reads as a pass.
+    So does a finite lhs whose squared denominator ``expm1((a+b+c) r)^2`` is
+    infinite, where the lhs reads 0 and its margin a false violation. As
+    a + b + c > 0, that square grows with r, so only a grid whose largest r
+    overflows it is searched for the first such r. An rhs that overflows
+    raises OverflowError naming a, b and c.
 
     The default grid (``steps`` points on [-rmax, rmax]) is built once and
     shared, read-only, by every report of the same (rmax, steps); a grid
@@ -707,14 +724,23 @@ def lemma41_check(
         raise ValueError(
             f"parameters (a={a}, b={b}, c={c}) violate both admissible regimes"
         )
+    try:
+        rhs = 16.0 * a * b / (a + b + c) ** 2
+    except OverflowError:
+        rhs = math.inf
+    if not math.isfinite(rhs):
+        raise OverflowError(
+            f"lemma41 rhs 16ab/(a+b+c)^2 overflows at a = {a!r}, b = {b!r}, c = {c!r}"
+        )
     if r_grid is None:
         r_grid = _default_r_grid(rmax, steps)
+        top = r_grid[-1:]   # the grid ascends
     else:
         r_grid = np.asarray(r_grid, dtype=float)
         r_grid = r_grid[np.abs(r_grid) >= 1e-4]
+        top = r_grid.max(initial=-np.inf, keepdims=True)
     if r_grid.size == 0:
         raise ValueError("r grid is empty after excluding the |r| < 1e-4 band")
-    rhs = 16.0 * a * b / (a + b + c) ** 2
     margins = lemma41_lhs(a, b, c, r_grid)
     finite = np.isfinite(margins)
     if not finite.all():
@@ -722,6 +748,12 @@ def lemma41_check(
         raise ValueError(
             f"lemma41 lhs is not finite at r = {bad!r} (a={a}, b={b}, c={c}): "
             "its exponentials overflow there, so choose a smaller rmax"
+        )
+    if np.isinf(_lemma41_den_sq(a + b + c, top)[0]):
+        bad = float(r_grid[np.argmax(np.isinf(_lemma41_den_sq(a + b + c, r_grid)))])
+        raise ValueError(
+            f"lemma41 denominator expm1((a+b+c) r)^2 overflows at r = {bad!r} "
+            f"(a={a}, b={b}, c={c}): the lhs reads 0 there, so choose a smaller rmax"
         )
     margins -= rhs
     worst = int(np.argmin(margins))

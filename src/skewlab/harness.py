@@ -920,6 +920,16 @@ class EntryColumns(NamedTuple):
         )
 
 
+def _csv_text(c: EntryColumns) -> str:
+    """One entry's CSV lines, each ending in a newline: floats as their
+    ``repr`` (so ``nan``, ``inf`` and ``-0.0`` keep their text), the pass
+    flag as ``true`` or ``false``."""
+    return "".join(
+        f"{ineq},{dim},{lhs!r},{rhs!r},{margin!r},{'true' if passed else 'false'}\n"
+        for ineq, dim, _index, lhs, rhs, margin, passed in c.rows()
+    )
+
+
 @dataclass
 class CampaignReport:
     config: dict
@@ -960,13 +970,27 @@ class CampaignReport:
         written from the worst cases' arrays."""
         return _json_text(self.to_json(matrix=np.asarray), indent)
 
-    def csv_rows(self):
-        """The CSV report line by line, formatted from one entry's columns at
-        a time."""
-        yield "id,n,lhs,rhs,margin,pass"
-        for c in self.columns:
-            for ineq, dim, _index, lhs, rhs, margin, passed in c.rows():
-                yield f"{ineq},{dim},{lhs!r},{rhs!r},{margin!r},{'true' if passed else 'false'}"
+    def csv_rows(self, threads: int = 1):
+        """The CSV report as text: the header line, then one string per entry
+        holding that entry's lines (``_csv_text``), each line ending in a
+        newline, in report order.
+
+        With ``threads > 1`` the entries are formatted one per task on up to
+        ``threads`` worker processes, and still yielded in report order, so
+        the text does not depend on the worker count. Only the entries that
+        are finished but not yet yielded wait in this process. Closing the
+        generator early shuts the workers down before it returns.
+        """
+        yield "id,n,lhs,rhs,margin,pass\n"
+        workers = min(threads, len(self.columns))
+        if workers > 1:
+            # imported here, as in run_campaign
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                yield from pool.map(_csv_text, self.columns)
+        else:
+            yield from map(_csv_text, self.columns)
 
     @property
     def failed(self) -> bool:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -87,6 +88,18 @@ class TestVerify:
         lines = out_path.read_text().splitlines()
         assert lines[0] == "id,n,lhs,rhs,margin,pass"
         assert len(lines) == 1 + 2 * 20
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_csv_write_exit_two_leaves_no_worker(self, tmp_path, capsys):
+        # each entry's 200 lines pass the file's 8 KB buffer, so the first
+        # entry's write fails while the workers still format the others
+        doc = dict(small_config_doc(), samples_per_dim=200)
+        doc["inequalities"].append({"id": "SCHRODINGER"})
+        path = write_config(tmp_path, doc)
+        argv = ["verify", path, "--out", "/dev/full", "--format", "csv", "--threads", "2"]
+        assert main(argv) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_format_without_out_exit_two(self, tmp_path, capsys, fmt):
@@ -315,7 +328,8 @@ class TestBeta:
         assert main(["beta", "--triple", triple]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ")
+        assert captured.err.startswith("error: beta corner k/(1+k+l)^2 overflows at k = 1e+200")
+        assert "l = 1e+200" in captured.err
 
     def test_triple_from_file(self, tmp_path, capsys):
         path = tmp_path / "triple.json"
@@ -398,7 +412,18 @@ class TestLemma41:
         assert main(["lemma41", "--a", "1e200", "--b", "1e200", "--c", "1e201"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ")
+        assert captured.err == (
+            "error: lemma41 rhs 16ab/(a+b+c)^2 overflows at a = 1e+200, b = 1e+200, "
+            "c = 1e+201\n"
+        )
+
+    def test_overflowing_denominator_exit_two(self, capsys):
+        # the lhs read 0 where expm1((a+b+c) r)^2 overflows: 21 false violations
+        assert main(["lemma41", "--a", "1e-12", "--b", "1", "--c", "1.5",
+                     "--rmax", "145"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "overflows at r = 142.09854927463732 " in captured.err
 
 
 class TestCounterexample:

@@ -369,6 +369,18 @@ class TestLemma41:
         with pytest.raises(ValueError, match=r"not finite at r = -"):
             lemma41_check(1.0, 1.0, -1.5, rmax=800)
 
+    def test_denominator_overflow_is_an_error_not_a_violation(self):
+        # from r = 142.1 on, expm1(2.5 r)^2 overflows while the numerator stays
+        # finite, so the lhs read 0 (true value about 2.9e-10 > rhs = 2.56e-12)
+        # and counted as 21 false violations
+        with pytest.raises(ValueError, match=r"overflows at r = 142\.09854927463732 "):
+            lemma41_check(1e-12, 1.0, 1.5, rmax=145)
+        # the grid point before the overflow is still checked as before
+        assert lemma41_check(1e-12, 1.0, 1.5, rmax=141.9534767383692).violations == 0
+        # the first point in grid order is named, not the smallest
+        with pytest.raises(ValueError, match=r"overflows at r = 144\.0 "):
+            lemma41_check(1e-12, 1.0, 1.5, r_grid=[-200.0, 1.0, 144.0, 140.0, 143.0])
+
     @pytest.mark.parametrize("name, args, kwargs", [
         ("a", (math.nan, 0.5, 1.0), {}),
         ("b", (0.5, math.inf, 1.0), {}),

@@ -443,10 +443,15 @@ class TestCampaign:
 
     def test_csv_rows(self):
         report = run_campaign(small_config())
-        rows = list(report.csv_rows())
-        assert rows[0] == "id,n,lhs,rhs,margin,pass"
-        assert len(rows) == 1 + 5 * 2 * 25
-        assert rows[1].startswith("HEISENBERG_21,2,")
+        items = list(report.csv_rows())
+        assert items[0] == "id,n,lhs,rhs,margin,pass\n"
+        # one item per entry, each holding that entry's 2 * 25 lines
+        assert len(items) == 1 + 5
+        for item, c in zip(items[1:], report.columns):
+            lines = item.split("\n")
+            assert len(lines) == 2 * 25 + 1 and lines[-1] == ""
+            assert all(line.startswith(c.id + ",") for line in lines[:-1])
+        assert items[1].startswith("HEISENBERG_21,2,")
 
     def test_assert_pass_makes_naive_fail(self):
         cfg = config_from_dict({

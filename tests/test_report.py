@@ -6,10 +6,13 @@ worst cases' matrices straight from their arrays. Their text must equal
 ``json.dumps(to_json(), indent=indent, sort_keys=True)`` byte for byte.
 """
 
+import concurrent.futures
 import gc
 import json
 import math
+import multiprocessing
 import tracemalloc
+from contextlib import closing
 from unittest.mock import patch
 
 import numpy as np
@@ -258,8 +261,64 @@ def _csv_from_rows(report):
     ]
 
 
+def _csv_items(report, threads):
+    """``csv_rows(threads)`` as a list, checked to be the header and then one
+    item per entry holding exactly that entry's reference lines, each ending
+    in a newline."""
+    items = list(report.csv_rows(threads))
+    lines = [line + "\n" for line in _csv_from_rows(report)]
+    assert items[0] == lines[0]
+    assert len(items) == 1 + len(report.columns)
+    start = 1
+    for item, c in zip(items[1:], report.columns):
+        assert item == "".join(lines[start : start + len(c.lhs)]), c.id
+        start += len(c.lhs)
+    assert start == len(lines)
+    assert "".join(items) == "".join(lines)
+    return items
+
+
 def test_csv_rows_format_the_rows(report):
-    assert list(report.csv_rows()) == _csv_from_rows(report)
+    for threads in (1, 2, 3):
+        _csv_items(report, threads)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("entries, threads", [(None, 1), (1, 3)])
+def test_csv_rows_on_one_worker_start_no_process(report, entries, threads):
+    one = harness.CampaignReport(
+        config={}, config_hash="h", stats=[], wall_time=0.0, columns=report.columns[:entries]
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    with patch.object(concurrent.futures, "ProcessPoolExecutor", refuse):
+        _csv_items(one, threads)
+
+
+def test_csv_rows_closed_early_leave_no_worker(report):
+    text = report.csv_rows(2)
+    assert next(text) == "id,n,lhs,rhs,margin,pass\n"
+    assert next(text).startswith(report.columns[0].id + ",")
+    text.close()
+    assert multiprocessing.active_children() == []
+
+
+def test_csv_write_failing_mid_report_leaves_no_worker(report):
+    written = []
+
+    def write(chunk):
+        if len(written) == 3:
+            raise OSError("disk full")
+        written.append(chunk)
+
+    with pytest.raises(OSError, match="disk full"):
+        with closing(report.csv_rows(2)) as text:
+            for chunk in text:
+                write(chunk)
+    assert multiprocessing.active_children() == []
+    assert "".join(written) == "".join(_csv_items(report, 1)[:3])
 
 
 def test_rows_hold_python_scalars(report):
@@ -280,16 +339,17 @@ def test_csv_rows_of_non_finite_and_signed_zero_columns():
         columns=[harness.EntryColumns("A", dims, indices, lhs, rhs, margin, passed),
                  harness.EntryColumns("B", dims, indices, -lhs, rhs, -margin, ~passed)],
     )
-    lines = list(report.csv_rows())
-    assert lines == _csv_from_rows(report)
-    assert lines[1:5] == [
-        "A,2,nan,0.0,nan,false",
-        "A,2,inf,-inf,inf,true",
-        "A,3,-0.0,0.0,-0.0,true",
-        "A,3,0.1,0.30000000000000004,-0.20000000000000004,false",
+    items = _csv_items(report, 1)
+    assert [_csv_items(report, threads) for threads in (2, 3)] == [items, items]
+    assert items[1] == (
+        "A,2,nan,0.0,nan,false\n"
+        "A,2,inf,-inf,inf,true\n"
+        "A,3,-0.0,0.0,-0.0,true\n"
+        "A,3,0.1,0.30000000000000004,-0.20000000000000004,false\n"
+    )
+    assert items[2].split("\n")[:3] == [
+        "B,2,nan,0.0,nan,true", "B,2,-inf,-inf,-inf,false", "B,3,0.0,0.0,0.0,false",
     ]
-    assert lines[5:7] == ["B,2,nan,0.0,nan,true", "B,2,-inf,-inf,-inf,false"]
-    assert lines[7] == "B,3,0.0,0.0,0.0,false"
     assert repr(report.rows[2]) == "('A', 3, 0, -0.0, 0.0, -0.0, True)"
 
 
