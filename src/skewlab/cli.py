@@ -109,7 +109,7 @@ def _cmd_beta(args) -> int:
 def _cmd_pairs(args) -> int:
     triple = triple_from_spec(_parse_json_arg(args.triple))
     for name, fn in (("(f,g)", triple.g), ("(f,h)", triple.h)):
-        kind, m, big_m = classify_pair(triple.f, fn, k=args.grid)
+        kind, m, big_m = classify_pair(triple.f, fn, k=args.grid, eps=triple.eps)
         print(f"{name}: {kind.value} m={_fmt(m)} M={_fmt(big_m)}")
     print(f"assumption = {check_assumption(triple).value}")
     return 0

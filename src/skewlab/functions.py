@@ -3,7 +3,9 @@ classification, bound coefficients, and grid scans built on top of it.
 
 Everything here operates on nonnegative functions restricted to [eps, 1];
 the floor eps keeps negative powers finite and must sit below the smallest
-eigenvalue of any state the functions are later applied to.
+eigenvalue of any state the functions are later applied to. It is set once,
+on the ``FunctionTriple`` (``classify_pair``, given no triple, takes it as an
+argument); a function spec that carries its own "eps" is rejected.
 """
 
 from __future__ import annotations
@@ -58,13 +60,12 @@ _PRODUCT_ROUNDING = 8.0 * np.finfo(float).eps
 
 
 class ScalarFunction:
-    """Base: nonnegative function on [eps, 1] with closed-form derivatives.
+    """Base: nonnegative function with closed-form derivatives, evaluated on
+    the domain [eps, 1] of the triple or pair it belongs to.
 
     Subclasses provide value/deriv/log_value; log_deriv defaults to
     deriv/value. All evaluators accept scalars or numpy arrays.
     """
-
-    eps: float
 
     def value(self, x):
         raise NotImplementedError
@@ -80,22 +81,12 @@ class ScalarFunction:
         """Derivative of log(value)."""
         return self.deriv(x) / self.value(x)
 
-    def check_domain(self, x) -> None:
-        x = np.asarray(x, dtype=float)
-        if x.size and float(x.min()) < self.eps - 1e-15:
-            raise DomainError(
-                f"argument {float(x.min()):.3e} below domain floor {self.eps:.1e}"
-            )
-        if x.size and float(x.max()) > 1.0 + 1e-12:
-            raise DomainError(f"argument {float(x.max()):.6f} above domain [eps, 1]")
-
 
 @dataclass(frozen=True)
 class Power(ScalarFunction):
     """x**p. Negative exponents are admissible thanks to the domain floor."""
 
     p: float
-    eps: float = DEFAULT_EPS
 
     def value(self, x):
         return np.asarray(x, dtype=float) ** self.p
@@ -115,7 +106,6 @@ class Exp(ScalarFunction):
     """exp(a * x)."""
 
     a: float
-    eps: float = DEFAULT_EPS
 
     def value(self, x):
         return np.exp(self.a * np.asarray(x, dtype=float))
@@ -135,7 +125,6 @@ class Const(ScalarFunction):
     """Constant c >= 0."""
 
     c: float
-    eps: float = DEFAULT_EPS
 
     def __post_init__(self):
         if self.c < 0.0:
@@ -161,7 +150,6 @@ class ScaledSum(ScalarFunction):
     """Nonnegative combination sum_k c_k * x**p_k with all c_k >= 0."""
 
     terms: tuple[tuple[float, float], ...]  # (coefficient, exponent)
-    eps: float = DEFAULT_EPS
 
     def __post_init__(self):
         terms = tuple((float(c), float(p)) for c, p in self.terms)
@@ -196,7 +184,7 @@ _FUNCTION_FIELDS = {
 }
 
 
-def function_from_spec(doc: dict, eps: float | None = None) -> ScalarFunction:
+def function_from_spec(doc: dict) -> ScalarFunction:
     """Build a catalog function from its JSON description."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValueError(f"function spec must be an object with a 'kind': {doc!r}")
@@ -204,10 +192,11 @@ def function_from_spec(doc: dict, eps: float | None = None) -> ScalarFunction:
     kind = doc.pop("kind")
     if not isinstance(kind, str) or kind not in _FUNCTION_FIELDS:
         raise ValueError(f"unknown function kind {kind!r}")
-    if eps is None:
-        eps = _real("eps", doc.pop("eps", DEFAULT_EPS))
-    else:
-        doc.pop("eps", None)
+    if "eps" in doc:
+        raise ValueError(
+            "a function spec takes no 'eps': eps is set once, on the triple or the "
+            "COR41_PAIR entry"
+        )
     missing = [k for k in _FUNCTION_FIELDS[kind] if k not in doc]
     if missing:
         raise ValueError(f"function spec of kind {kind!r} misses fields {missing}")
@@ -215,11 +204,11 @@ def function_from_spec(doc: dict, eps: float | None = None) -> ScalarFunction:
     if extra:
         raise ValueError(f"unknown keys in function spec: {sorted(extra)}")
     if kind == "power":
-        return Power(p=_real("p", doc["p"]), eps=eps)
+        return Power(p=_real("p", doc["p"]))
     if kind == "exp":
-        return Exp(a=_real("a", doc["a"]), eps=eps)
+        return Exp(a=_real("a", doc["a"]))
     if kind == "const":
-        return Const(c=_real("c", doc["c"]), eps=eps)
+        return Const(c=_real("c", doc["c"]))
     terms = doc["terms"]
     if not isinstance(terms, (list, tuple)) or not all(
         isinstance(t, (list, tuple)) and len(t) == 2 for t in terms
@@ -229,8 +218,7 @@ def function_from_spec(doc: dict, eps: float | None = None) -> ScalarFunction:
         terms=tuple(
             (_real("scaled_sum coefficient", c), _real("scaled_sum exponent", p))
             for c, p in terms
-        ),
-        eps=eps,
+        )
     )
 
 
@@ -248,7 +236,7 @@ def function_to_spec(fn: ScalarFunction) -> dict:
 
 @dataclass(frozen=True)
 class FunctionTriple:
-    """Triple (f, g, h) sharing one domain floor; f must be strictly
+    """Triple (f, g, h) on the one domain [eps, 1]; f must be strictly
     increasing and positive so the log-derivative ratios are well defined."""
 
     f: ScalarFunction
@@ -257,11 +245,6 @@ class FunctionTriple:
     eps: float = DEFAULT_EPS
 
     def __post_init__(self):
-        for name, fn in (("f", self.f), ("g", self.g), ("h", self.h)):
-            if fn.eps != self.eps:
-                raise ValueError(
-                    f"{name} has domain floor {fn.eps}, triple expects {self.eps}"
-                )
         grid = np.linspace(self.eps, 1.0, PAIR_GRID)
         if np.any(np.asarray(self.f.value(grid)) <= 0.0):
             raise ValueError("f must be strictly positive on [eps, 1]")
@@ -275,9 +258,9 @@ def triple_from_spec(doc: dict) -> FunctionTriple:
     doc = dict(doc)
     eps = _real("eps", doc.pop("eps", DEFAULT_EPS))
     try:
-        f = function_from_spec(doc.pop("f"), eps=eps)
-        g = function_from_spec(doc.pop("g"), eps=eps)
-        h = function_from_spec(doc.pop("h"), eps=eps)
+        f = function_from_spec(doc.pop("f"))
+        g = function_from_spec(doc.pop("g"))
+        h = function_from_spec(doc.pop("h"))
     except KeyError as exc:
         raise ValueError(f"triple spec misses field {exc}") from exc
     if doc:
@@ -324,7 +307,7 @@ class RatioBounds:
             raise ValueError(f"bounds out of order: {vals}")
 
 
-def _ratio_extrema(f: ScalarFunction, g: ScalarFunction, k: int) -> tuple[float, float]:
+def _ratio_extrema(f: ScalarFunction, g: ScalarFunction, k: int, eps: float) -> tuple[float, float]:
     """inf and sup of log_deriv(g)/log_deriv(f) on [eps, 1].
 
     Constant-ratio pairs (power/power, exp/exp, constant numerator) are
@@ -340,7 +323,7 @@ def _ratio_extrema(f: ScalarFunction, g: ScalarFunction, k: int) -> tuple[float,
     if isinstance(f, Exp) and isinstance(g, Exp):
         r = g.a / f.a
         return (r, r)
-    grid = np.linspace(max(f.eps, g.eps), 1.0, k)
+    grid = np.linspace(eps, 1.0, k)
     ld_f = np.asarray(f.log_deriv(grid), dtype=float)
     if float(np.min(np.abs(ld_f))) < 1e-30:
         raise ValueError("ratio undefined: log-derivative of f vanishes on the grid")
@@ -385,19 +368,19 @@ def _pair_condition(fv: np.ndarray, gv: np.ndarray, sign: int, tol: float = _PAI
 
 
 def classify_pair(
-    f: ScalarFunction, g: ScalarFunction, k: int = RATIO_GRID
+    f: ScalarFunction, g: ScalarFunction, k: int = RATIO_GRID, eps: float = DEFAULT_EPS
 ) -> tuple[PairClass, float, float]:
     """Classify (f, g) as a monotone pair, an anti-monotone pair, or neither.
 
     A monotone pair moves jointly ((f(x)-f(y))(g(x)-g(y)) >= 0 on all grid
     pairs) and has a bounded nonnegative log-derivative ratio; an
     anti-monotone pair flips both signs. Returns the class together with the
-    ratio's (inf, sup) over the grid.
+    ratio's (inf, sup) over the k-point grid on [eps, 1].
     """
     if k < 2:
         raise ValueError("classification grid needs at least 2 points")
-    m, big_m = _ratio_extrema(f, g, k)
-    grid = np.linspace(max(f.eps, g.eps), 1.0, k)
+    m, big_m = _ratio_extrema(f, g, k, eps)
+    grid = np.linspace(eps, 1.0, k)
     fv = np.asarray(f.value(grid), dtype=float)
     gv = np.asarray(g.value(grid), dtype=float)
     if _pair_condition(fv, gv, +1) and m >= -_PAIR_TOL:
@@ -408,8 +391,8 @@ def classify_pair(
 
 
 def ratio_bounds(triple: FunctionTriple, k: int = RATIO_GRID) -> RatioBounds:
-    m_g, M_g = _ratio_extrema(triple.f, triple.g, k)
-    m_h, M_h = _ratio_extrema(triple.f, triple.h, k)
+    m_g, M_g = _ratio_extrema(triple.f, triple.g, k, triple.eps)
+    m_h, M_h = _ratio_extrema(triple.f, triple.h, k, triple.eps)
     return RatioBounds(m_g=m_g, M_g=M_g, m_h=m_h, M_h=M_h, grid_size=k)
 
 
@@ -438,8 +421,8 @@ def check_assumption(triple: FunctionTriple, k_pairs: int = PAIR_GRID) -> Assump
     gv = np.asarray(g.value(grid), dtype=float)
     hv = np.asarray(h.value(grid), dtype=float)
 
-    m_g, M_g = _ratio_extrema(f, g, RATIO_GRID)
-    m_h, M_h = _ratio_extrema(f, h, RATIO_GRID)
+    m_g, M_g = _ratio_extrema(f, g, RATIO_GRID, triple.eps)
+    m_h, M_h = _ratio_extrema(f, h, RATIO_GRID, triple.eps)
     fg_mono = _pair_condition(fv, gv, +1) and m_g >= -_PAIR_TOL
     if not fg_mono:
         return Assumption.NEITHER
@@ -514,12 +497,16 @@ def l_value(triple: FunctionTriple, x: float, y: float) -> float:
 
     Returns +inf when the denominator is excluded (see ``_excluded``): zero,
     rounding noise of f g h, or negligible against the numerator scale. The
-    diagonal x == y is rejected (0/0).
+    diagonal x == y is rejected (0/0), and so, with DomainError, is a point
+    outside the triple's domain [eps, 1].
     """
     if x == y:
         raise ValueError("diagonal x == y is excluded")
-    for fn in (triple.f, triple.g, triple.h):
-        fn.check_domain(np.array([x, y]))
+    lo, hi = min(x, y), max(x, y)
+    if lo < triple.eps - 1e-15:
+        raise DomainError(f"argument {lo:.3e} below domain floor {triple.eps:.1e}")
+    if hi > 1.0 + 1e-12:
+        raise DomainError(f"argument {hi:.6f} above domain [eps, 1]")
     fx, fy = float(triple.f.value(x)), float(triple.f.value(y))
     gx, gy = float(triple.g.value(x)), float(triple.g.value(y))
     hx, hy = float(triple.h.value(x)), float(triple.h.value(y))
@@ -700,7 +687,8 @@ def lemma41_check(
 
     The parameters must be finite and satisfy one of the two admissible
     regimes (a, b, c >= 0 with 0 < a + b <= c, or a, b >= 0, c <= 0 with
-    a + b + c > 0). The band |r| < 1e-4 is excluded from the grid to avoid
+    a + b + c > 0), and rmax must be positive, so the default grid ascends.
+    The band |r| < 1e-4 is excluded from the grid to avoid
     cancellation; the r -> 0 limit is checked separately. A margin below
     -1e-12 * max(1, rhs) counts as a violation, which absorbs float noise on
     the equality family (a == b with c == a + b makes the margin identically
@@ -720,6 +708,8 @@ def lemma41_check(
     for name, value in (("a", a), ("b", b), ("c", c), ("rmax", rmax)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
+    if rmax <= 0.0:
+        raise ValueError(f"rmax must be positive, got {rmax!r}")
     if not _lemma41_regime_ok(a, b, c):
         raise ValueError(
             f"parameters (a={a}, b={b}, c={c}) violate both admissible regimes"

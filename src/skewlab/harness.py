@@ -262,9 +262,9 @@ def _setting_from_entry(doc: dict) -> InequalitySetting:
             triple = triple_from_spec(doc.pop("triple"))
         elif record.functions == "pair":
             eps = _real("eps", doc.pop("eps", DEFAULT_EPS))
-            f = function_from_spec(doc.pop("f"), eps=eps)
-            g = function_from_spec(doc.pop("g"), eps=eps)
-            triple = FunctionTriple(f=f, g=g, h=Const(c=1.0, eps=eps), eps=eps)
+            f = function_from_spec(doc.pop("f"))
+            g = function_from_spec(doc.pop("g"))
+            triple = FunctionTriple(f=f, g=g, h=Const(c=1.0), eps=eps)
         return InequalitySetting(
             id=ineq,
             alpha=doc.pop("alpha", None),
@@ -466,7 +466,7 @@ def _triple_premise(triple: FunctionTriple) -> Assumption:
 
 def _pair_premise(triple: FunctionTriple) -> Assumption:
     assumption = check_assumption(triple)
-    kind, _, _ = classify_pair(triple.f, triple.g)
+    kind, _, _ = classify_pair(triple.f, triple.g, eps=triple.eps)
     if kind is not PairClass.MONOTONE:
         raise ConfigError("COR41_PAIR requires (f, g) to be a monotone pair")
     return assumption
@@ -982,15 +982,7 @@ class CampaignReport:
         generator early shuts the workers down before it returns.
         """
         yield "id,n,lhs,rhs,margin,pass\n"
-        workers = min(threads, len(self.columns))
-        if workers > 1:
-            # imported here, as in run_campaign
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                yield from pool.map(_csv_text, self.columns)
-        else:
-            yield from map(_csv_text, self.columns)
+        yield from _pool_map(_csv_text, self.columns, threads)
 
     @property
     def failed(self) -> bool:
@@ -1066,28 +1058,37 @@ def _replay(seed: int, delta: float, picks) -> dict:
     return out
 
 
+def _pool_map(fn, items, threads: int):
+    """``map(fn, items)``, yielded in order: in this process when
+    ``min(threads, len(items)) <= 1``, else on that many worker processes,
+    at most one per item. Closing the generator early shuts the workers
+    down before it returns."""
+    workers = min(threads, len(items))
+    if workers <= 1:
+        yield from map(fn, items)
+        return
+    # imported here: at module level it would add ~15 ms to every start
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(fn, items)
+
+
 def run_campaign(config: CampaignConfig, threads: int = 1) -> CampaignReport:
-    """Run every configured inequality over the sampled instances.
+    """Run every configured inequality over the sampled instances, on up to
+    ``threads`` worker processes (at least 1, and at most one per block).
 
     Deterministic for a fixed config: the report (minus wall time) does not
     depend on the worker count. The worst cases carry no matrices until
     ``CampaignReport.replay_worst_cases`` redraws them.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     t_start = time.perf_counter()
     plans = [_plan(s) for s in config.inequalities]
-    threads = max(1, threads)
 
     tasks = _blocks(config)
-    if threads == 1:
-        blocks = [_block_rows(config, plans, *task) for task in tasks]
-    else:
-        # imported here: at module level it would add ~15 ms to every start
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            blocks = list(
-                pool.map(_worker_entry, [(config, plans, *task) for task in tasks])
-            )
+    blocks = list(_pool_map(_worker_entry, [(config, plans, *task) for task in tasks], threads))
 
     dims = np.concatenate([np.full(stop - start, dim) for dim, start, stop in tasks])
     indices = np.concatenate([np.arange(start, stop) for _dim, start, stop in tasks])

@@ -81,6 +81,18 @@ class TestVerify:
         assert main(["verify", path, "--out", str(out_path)]) == 2
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_threads_below_one_exit_two(self, tmp_path, capsys, threads, fmt):
+        out_path = tmp_path / f"report.{fmt}"
+        argv = ["verify", write_config(tmp_path, small_config_doc()), "--out", str(out_path),
+                "--format", fmt, "--threads", threads]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"threads must be at least 1, got {threads}" in captured.err
+        assert not out_path.exists()
+
     def test_csv_report(self, tmp_path):
         path = write_config(tmp_path, small_config_doc())
         out_path = tmp_path / "report.csv"
@@ -229,6 +241,24 @@ class TestVerify:
         assert "PASS" not in captured.out and "VIOLATED" not in captured.out
         assert message in captured.err
 
+    @pytest.mark.parametrize("entry", [
+        {"id": "THM31_FGH", "triple": dict(json.loads(QUARTER),
+                                            g={"kind": "power", "p": 0.25, "eps": 1e-6})},
+        {"id": "COR41_PAIR", "f": {"kind": "power", "p": 0.5, "eps": 1e-3},
+         "g": {"kind": "power", "p": 0.25}},
+        {"id": "COR41_PAIR", "f": {"kind": "power", "p": 0.5},
+         "g": {"kind": "power", "p": 0.25, "eps": 1e-6}, "eps": 1e-6},
+    ])
+    def test_function_level_eps_in_entry_exit_two(self, tmp_path, capsys, entry):
+        doc = dict(small_config_doc(), inequalities=[entry])
+        out_path = tmp_path / "report.json"
+        assert main(["verify", write_config(tmp_path, doc), "--out", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"bad {entry['id']} entry: a function spec takes no 'eps': eps is set once"
+                in captured.err)
+        assert not out_path.exists()
+
     def test_missing_file_exit_two(self):
         assert main(["verify", "/nonexistent/config.json"]) == 2
 
@@ -317,6 +347,17 @@ class TestBeta:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert message in captured.err
+
+    @pytest.mark.parametrize("name", ["f", "g", "h"])
+    def test_function_level_eps_exit_two(self, capsys, name):
+        # such an eps once went unread, and the triple ran on [1e-6, 1]
+        doc = json.loads(QUARTER)
+        doc[name] = dict(doc[name], eps=0.5)
+        for command in ("beta", "pairs", "scan-l"):
+            assert main([command, "--triple", json.dumps(doc)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "eps is set once, on the triple or the COR41_PAIR entry" in captured.err
 
     def test_overflowing_ratio_exit_two(self, capsys):
         # g.p / f.p = 1e200, whose square in the corner coefficient overflows
@@ -424,6 +465,16 @@ class TestLemma41:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "overflows at r = 142.09854927463732 " in captured.err
+
+    @pytest.mark.parametrize("rmax", ["-145", "0"])
+    def test_non_positive_rmax_exit_two(self, capsys, rmax):
+        # a negative rmax made the default grid descend, which hid the overflow
+        # above and reported its 21 false violations with exit 1
+        assert main(["lemma41", "--a", "1e-12", "--b", "1", "--c", "1.5",
+                     "--rmax", rmax]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: rmax must be positive, got {float(rmax)!r}" in captured.err
 
 
 class TestCounterexample:

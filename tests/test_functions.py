@@ -67,8 +67,16 @@ class TestEvaluators:
             ScaledSum(terms=((-1.0, 2.0),))
 
     def test_domain_error_below_floor(self):
-        with pytest.raises(DomainError, match="domain floor"):
-            Power(p=0.5).check_domain(1e-9)
+        # l_value checks both points against the triple's domain [eps, 1],
+        # with a slack of 1e-15 below the floor and 1e-12 above 1
+        t = FunctionTriple(Power(p=0.5), Power(p=0.5), Const(c=1.0), eps=1e-3)
+        with pytest.raises(DomainError, match="argument 1.000e-04 below domain floor 1.0e-03"):
+            l_value(t, 1e-4, 0.5)
+        with pytest.raises(DomainError, match="below domain floor"):
+            l_value(t, 0.5, 1e-3 - 1e-12)
+        with pytest.raises(DomainError, match="above domain"):
+            l_value(t, 0.5, 1.0 + 1e-9)
+        assert l_value(t, 1e-3 - 1e-16, 1.0 + 1e-13) == pytest.approx(4.0, rel=1e-12)
 
     def test_nonnegative_on_domain(self):
         grid = np.linspace(1e-6, 1, 101)
@@ -90,7 +98,7 @@ class TestSpecs:
             Const(c=1.0),
             ScaledSum(terms=((1.0, 2.0), (1.0, 1.0))),
         ):
-            again = function_from_spec(function_to_spec(fn), eps=fn.eps)
+            again = function_from_spec(function_to_spec(fn))
             assert again == fn
 
     def test_triple_round_trip(self):
@@ -129,9 +137,13 @@ class TestSpecs:
         with pytest.raises(ValueError, match="strictly increasing"):
             FunctionTriple(Power(p=-1.0), Power(p=1.0), Const(c=1.0))
 
-    def test_triple_eps_mismatch(self):
-        with pytest.raises(ValueError, match="domain floor"):
-            FunctionTriple(Power(p=1.0, eps=1e-4), Power(p=1.0), Const(c=1.0))
+    @pytest.mark.parametrize("kind, field", [
+        ("power", "p"), ("exp", "a"), ("const", "c"), ("scaled_sum", "terms"),
+    ])
+    def test_function_spec_with_eps_rejected(self, kind, field):
+        value = [[1.0, 1.0]] if kind == "scaled_sum" else 1.0
+        with pytest.raises(ValueError, match="eps is set once, on the triple"):
+            function_from_spec({"kind": kind, field: value, "eps": 1e-6})
 
 
 class TestClassifyPair:
@@ -392,6 +404,11 @@ class TestLemma41:
     def test_non_finite_parameters_rejected(self, name, args, kwargs):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             lemma41_check(*args, **kwargs)
+
+    @pytest.mark.parametrize("rmax", [-145.0, -1e-3, 0.0, -0.0])
+    def test_non_positive_rmax_rejected(self, rmax):
+        with pytest.raises(ValueError, match=f"rmax must be positive, got {rmax!r}"):
+            lemma41_check(1e-12, 1.0, 1.5, rmax=rmax)
 
     def test_random_parameters_no_violations(self):
         rng = np.random.default_rng(21)

@@ -1,6 +1,9 @@
 """Tests for the samplers, inequality evaluation, and campaign machinery."""
 
+import concurrent.futures
 import json
+import operator
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -185,8 +188,7 @@ class TestEvaluate:
         d = hermitian_eigen(rho)
 
         def pair(eps):
-            return FunctionTriple(Power(p=0.5, eps=eps), Power(p=0.5, eps=eps),
-                                  Const(c=1.0, eps=eps), eps=eps)
+            return FunctionTriple(Power(p=0.5), Power(p=0.5), Const(c=1.0), eps=eps)
 
         setting = InequalitySetting(id=InequalityId.COR41_PAIR, triple=pair(0.25))
         record = evaluate_inequality(setting, rho, a, b)
@@ -396,6 +398,23 @@ class TestCampaign:
         j2.pop("wall_time_seconds")
         assert json.dumps(j1, sort_keys=True) == json.dumps(j2, sort_keys=True)
 
+    def test_threads_below_one_rejected(self):
+        for threads in (0, -3):
+            with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+                run_campaign(small_config(), threads=threads)
+
+    @pytest.mark.parametrize("dims, workers", [([2], []), ([2, 3], [2])])
+    def test_at_most_one_worker_per_block(self, pools, dims, workers):
+        # 25 samples make one block per dim, so 8 threads need 1 or 2 workers
+        cfg = small_config(dims=dims)
+        report = run_campaign(cfg, threads=8)
+        assert [p.max_workers for p in pools] == workers
+        assert all(p.closed for p in pools)
+        want, got = run_campaign(cfg).to_json(), report.to_json()
+        want.pop("wall_time_seconds")
+        got.pop("wall_time_seconds")
+        assert got == want
+
     def test_rows_independent_of_block_size(self, monkeypatch):
         # With one sample per block, THM21_WYD at alpha = 0.5 (dim 3 index 4,
         # dim 32 index 40, dim 64 index 4) once rounded differently in the
@@ -478,6 +497,54 @@ class TestCampaign:
         })
         report = run_campaign(cfg)
         assert all(s.violations == 0 for s in report.stats)
+
+
+class RecordingPool:
+    """Stands in for ``ProcessPoolExecutor``: maps in this process and
+    records its worker count and whether it was shut down."""
+
+    def __init__(self, max_workers):
+        self.max_workers, self.closed = max_workers, False
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.closed = True
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.fixture
+def pools():
+    """Patches ``RecordingPool`` in for the process pool; yields the pools made."""
+    made = []
+
+    def pool(max_workers):
+        made.append(RecordingPool(max_workers))
+        return made[-1]
+
+    with patch.object(concurrent.futures, "ProcessPoolExecutor", pool):
+        yield made
+
+
+class TestPoolMap:
+    @pytest.mark.parametrize("threads, n, workers", [
+        (1, 5, []), (8, 1, []), (8, 0, []), (3, 5, [3]), (8, 3, [3]),
+    ])
+    def test_workers_capped_by_items(self, pools, threads, n, workers):
+        items = list(range(n))
+        assert list(harness._pool_map(operator.neg, items, threads)) == [-i for i in items]
+        assert [p.max_workers for p in pools] == workers
+        assert all(p.closed for p in pools)
+
+    def test_closed_early_shuts_the_pool_down(self, pools):
+        results = harness._pool_map(operator.neg, [1, 2, 3], 2)
+        assert next(results) == -1
+        assert not pools[0].closed
+        results.close()
+        assert pools[0].closed
 
 
 class TestCounterexample:

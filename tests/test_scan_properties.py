@@ -68,8 +68,8 @@ def triu_check_assumption(triple: FunctionTriple, k_pairs: int, tol: float = 1e-
     f, g, h = triple.f, triple.g, triple.h
     grid = np.linspace(triple.eps, 1.0, k_pairs)
     fv, gv, hv = (np.asarray(fn.value(grid), dtype=float) for fn in (f, g, h))
-    m_g, _ = functions._ratio_extrema(f, g, functions.RATIO_GRID)
-    m_h, M_h = functions._ratio_extrema(f, h, functions.RATIO_GRID)
+    m_g, _ = functions._ratio_extrema(f, g, functions.RATIO_GRID, triple.eps)
+    m_h, M_h = functions._ratio_extrema(f, h, functions.RATIO_GRID, triple.eps)
     if not (functions._pair_condition(fv, gv, +1, tol) and m_g >= -tol):
         return functions.Assumption.NEITHER
     fh_mono = functions._pair_condition(fv, hv, +1, tol) and m_h >= -tol
@@ -102,27 +102,27 @@ def _terms(min_c, min_p):
 
 
 @st.composite
-def catalog_function(draw, eps, increasing=False):
+def catalog_function(draw, increasing=False):
     """Any catalog function, or a strictly increasing positive one for f."""
     kinds = ["power", "exp", "scaled_sum"] + ([] if increasing else ["const"])
     kind = draw(st.sampled_from(kinds))
     if kind == "power":
-        return Power(p=draw(st.floats(0.1 if increasing else -2.0, 3.0)), eps=eps)
+        return Power(p=draw(st.floats(0.1 if increasing else -2.0, 3.0)))
     if kind == "exp":
-        return Exp(a=draw(st.floats(0.1 if increasing else -3.0, 3.0)), eps=eps)
+        return Exp(a=draw(st.floats(0.1 if increasing else -3.0, 3.0)))
     if kind == "const":
-        return Const(c=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 3.0)), eps=eps)
+        return Const(c=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 3.0)))
     terms = draw(_terms(0.1, 0.1) if increasing else _terms(0.0, -1.0))
-    return ScaledSum(terms=tuple(terms), eps=eps)
+    return ScaledSum(terms=tuple(terms))
 
 
 @st.composite
 def triples(draw):
     eps = draw(st.floats(1e-6, 1e-2))
     return FunctionTriple(
-        f=draw(catalog_function(eps, increasing=True)),
-        g=draw(catalog_function(eps)),
-        h=draw(catalog_function(eps)),
+        f=draw(catalog_function(increasing=True)),
+        g=draw(catalog_function()),
+        h=draw(catalog_function()),
         eps=eps,
     )
 
@@ -153,8 +153,7 @@ def test_l_scan_min_matches_dense_above_2048(triple, k):
 @given(eps=st.floats(1e-6, 1e-2), k=small_grids, block=blocks)
 def test_constant_product_triple_matches_dense(eps, k, block):
     # f g h == 1 up to rounding, which the rounding bound on den excludes
-    t = FunctionTriple(Power(p=1.0, eps=eps), Power(p=1.0, eps=eps),
-                       Power(p=-2.0, eps=eps), eps=eps)
+    t = FunctionTriple(Power(p=1.0), Power(p=1.0), Power(p=-2.0), eps=eps)
     with patch.object(functions, "_PAIR_BLOCK", block):
         got = l_scan_min(t, k)
     assert repr(got) == repr(dense_l_scan_min(t, k))
