@@ -53,6 +53,9 @@ DEFAULT_EPS = 1e-6
 RATIO_GRID = 10_000   # grid for inf/sup of log-derivative ratios
 PAIR_GRID = 512       # grid for the pairwise sign / divided-difference checks
 _PAIR_BLOCK = 1 << 16  # grid pairs evaluated at once by the pairwise scans
+# grid pairs per row block of check_assumption: its six pair arrays stay in
+# cache at this size, where a 1 << 16 block costs it twice the time
+_ASSUMPTION_BLOCK = 1 << 14
 _PAIR_TOL = 1e-12      # slack on the pair products, ratio signs and divided differences
 _LEMMA41_SLACK = 1e-12  # relative slack on the scalar inequality's margins
 # rounding of f g h: a two-point denominator up to this times max|f g h| is noise
@@ -391,6 +394,8 @@ def classify_pair(
 
 
 def ratio_bounds(triple: FunctionTriple, k: int = RATIO_GRID) -> RatioBounds:
+    if k < 2:
+        raise ValueError("ratio grid needs at least 2 points")
     m_g, M_g = _ratio_extrema(triple.f, triple.g, k, triple.eps)
     m_h, M_h = _ratio_extrema(triple.f, triple.h, k, triple.eps)
     return RatioBounds(m_g=m_g, M_g=M_g, m_h=m_h, M_h=M_h, grid_size=k)
@@ -415,6 +420,8 @@ def check_assumption(triple: FunctionTriple, k_pairs: int = PAIR_GRID) -> Assump
     A constant h counts as a (degenerate) anti-monotone partner, which is what
     routes two-function triples through condition II.
     """
+    if k_pairs < 2:
+        raise ValueError("pair grid needs at least 2 points")
     f, g, h = triple.f, triple.g, triple.h
     grid = np.linspace(triple.eps, 1.0, k_pairs)
     fv = np.asarray(f.value(grid), dtype=float)
@@ -435,7 +442,7 @@ def check_assumption(triple: FunctionTriple, k_pairs: int = PAIR_GRID) -> Assump
     # every pair i < j, a block of rows at a time, so memory stays O(k); each
     # pair goes through the same operations as it would alone
     cond_i, cond_ii = fh_mono, fh_anti
-    rows = max(1, _PAIR_BLOCK // k_pairs)
+    rows = max(1, _ASSUMPTION_BLOCK // k_pairs)
     for lo in range(0, k_pairs - 1, rows):
         hi = min(lo + rows, k_pairs - 1)
         r, c = slice(lo, hi), slice(lo + 1, k_pairs)

@@ -314,8 +314,17 @@ def config_from_dict(doc: dict) -> CampaignConfig:
 # samplers
 
 
+# 1/sqrt(2): numpy's complex division by a real number multiplies by its
+# reciprocal, so scaling by this constant keeps the bits of (re + 1j im)/sqrt(2)
+_GINIBRE_SCALE = 1.0 / math.sqrt(2)
+
+
 def _ginibre_from(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    return (re + 1j * im) / math.sqrt(2)
+    """(re + i im) / sqrt(2), written into one fresh complex array."""
+    g = np.empty(re.shape, dtype=complex)
+    np.multiply(re, _GINIBRE_SCALE, out=g.real)
+    np.multiply(im, _GINIBRE_SCALE, out=g.imag)
+    return g
 
 
 def _ginibre(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -327,11 +336,23 @@ def _state_from(g: np.ndarray, delta: float) -> np.ndarray:
     n = g.shape[-1]
     w = g @ np.swapaxes(g, -1, -2).conj()
     tr = np.trace(w, axis1=-2, axis2=-1).real
-    return (1.0 - delta) * w / np.asarray(tr)[..., None, None] + (delta / n) * np.eye(n)
+    # in place, through (re, im, re, im, ...) float views: numpy's product and
+    # quotient of a complex number by a real one scale both parts by it (the
+    # quotient by its reciprocal), so each part keeps its bits
+    parts = w.view(np.float64).reshape(*w.shape[:-2], -1)
+    parts *= 1.0 - delta
+    parts *= (1.0 / np.asarray(tr))[..., None]
+    parts[..., :: 2 * (n + 1)] += delta / n   # the real parts of the diagonal
+    return w
 
 
 def _observable_from(g: np.ndarray) -> np.ndarray:
-    return (g + np.swapaxes(g, -1, -2).conj()) / 2
+    """(G + G†) / 2, written into one fresh array and halved in place."""
+    h = np.conjugate(np.swapaxes(g, -1, -2), out=np.empty(g.shape, dtype=complex))
+    h += g
+    parts = h.view(np.float64)
+    parts *= 0.5
+    return h
 
 
 def sample_density(n: int, rng: np.random.Generator, delta: float = DEFAULT_DELTA) -> DensityMatrix:
@@ -350,8 +371,14 @@ def sample_observable(n: int, rng: np.random.Generator) -> HermitianMatrix:
 _PARAM_SALT = 0xA5A5_5A5A_DEAD_BEEF
 
 
-def _matrix_key(seed: int, dim: int, index: int) -> np.ndarray:
-    return np.array([seed, (dim << 44) | index], dtype=np.uint64)
+def _matrix_key(seed: int, dim: int, index) -> np.ndarray:
+    """Philox key [seed, dim << 44 | index] of one sample's matrix stream,
+    or keys [S, 2] of an index array."""
+    index = np.asarray(index, dtype=np.uint64)
+    key = np.empty((*index.shape, 2), dtype=np.uint64)
+    key[..., 0] = seed
+    key[..., 1] = np.uint64(dim << 44) | index
+    return key
 
 
 def _matrix_rng(seed: int, dim: int, index: int) -> np.random.Generator:
@@ -374,22 +401,27 @@ def _draw_block(seed: int, dim: int, indices: np.ndarray, delta: float):
     Sample i draws from the same Philox stream as ``_draw_sample``: one
     standard_normal((6, n, n)) call yields the six (n, n) draws that
     ``_draw_sample`` makes one by one. Resetting one bit generator's state
-    per sample gives that stream without constructing a Philox each time.
+    per sample, one state dict with each sample's key swapped in, gives that
+    stream without constructing a Philox each time. The state holds Python
+    ints, which the setter reads faster than numpy scalars.
     """
     z = np.empty((len(indices), 6, dim, dim))
     bitgen = np.random.Philox(key=0)
     rng = np.random.Generator(bitgen)
-    zero = np.zeros(4, dtype=np.uint64)
-    for k, index in enumerate(indices.tolist()):
-        bitgen.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": zero, "key": _matrix_key(seed, dim, index)},
-            "buffer": zero,
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        rng.standard_normal(out=z[k])
+    zero = [0, 0, 0, 0]
+    stream = {"counter": zero, "key": None}
+    state = {
+        "bit_generator": "Philox",
+        "state": stream,
+        "buffer": zero,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    for sample, key in zip(z, _matrix_key(seed, dim, indices).tolist()):
+        stream["key"] = key
+        bitgen.state = state
+        rng.standard_normal(out=sample)
     g = _ginibre_from(z[:, 0::2], z[:, 1::2])
     return (
         density_stack(_state_from(g[:, 0], delta)),
@@ -437,11 +469,12 @@ def _philox_random(key0: int, key1: np.ndarray) -> np.ndarray:
     return (words >> np.uint64(11)) * (1.0 / 9007199254740992.0)
 
 
-def _param_draws(seed: int, dim: int, indices: np.ndarray, ordinal: int) -> np.ndarray:
-    """Uniform draws [S, 4] from each sample's parameter stream."""
-    key1 = (
-        np.uint64((ordinal << 56) | (dim << 44)) | indices.astype(np.uint64)
-    )
+def _param_draws(seed: int, dim: int, indices: np.ndarray, ordinal) -> np.ndarray:
+    """Uniform draws [S, 4] from each sample's parameter stream of entry
+    ``ordinal``, or [E, S, 4] for an array of E ordinals, in one Philox pass:
+    the draws of each key do not depend on the others."""
+    ordinal = np.asarray(ordinal, dtype=np.uint64)[..., None]
+    key1 = (ordinal << np.uint64(56)) | np.uint64(dim << 44) | indices.astype(np.uint64)
     return _philox_random(seed ^ _PARAM_SALT, key1)
 
 
@@ -480,14 +513,28 @@ def _plan(setting: InequalitySetting) -> _TriplePlan | None:
     return _TriplePlan(triple, premise(triple), beta_coefficient(ratio_bounds(triple)))
 
 
+def _draws_params(setting: InequalitySetting) -> bool:
+    """True when the entry draws some parameter per sample."""
+    return any(getattr(setting, name) is None for name in INEQUALITIES[setting.id].params)
+
+
 def _block_params(
-    setting: InequalitySetting, indices: np.ndarray, seed: int, dim: int, ordinal: int
+    setting: InequalitySetting,
+    indices: np.ndarray,
+    seed: int,
+    dim: int,
+    ordinal: int,
+    draws: np.ndarray | None = None,
 ) -> dict:
-    """Fixed, cycled, or freshly drawn parameters, one array entry per sample."""
+    """Fixed, cycled, or freshly drawn parameters, one array entry per sample.
+    ``draws`` are the entry's uniform draws [S, 4], when the caller has
+    already made them with ``_param_draws``."""
     record = INEQUALITIES[setting.id]
+    if _draws_params(setting):
+        if draws is None:
+            draws = _param_draws(seed, dim, indices, ordinal)
+        return record.sampler(draws, setting)
     fixed = {name: getattr(setting, name) for name in record.params}
-    if None in fixed.values():
-        return record.sampler(_param_draws(seed, dim, indices, ordinal), setting)
     return {
         name: np.asarray(value)[indices % len(value)]
         if isinstance(value, tuple)
@@ -1024,11 +1071,14 @@ def _block_rows(config: CampaignConfig, plans, dim: int, start: int, stop: int):
     rho, a, b = _draw_block(config.seed, dim, indices, config.delta)
     lam, vectors = eigh_stack(rho, density=True)
     batch = _Batch(lam, element_tables(lam, vectors, a), element_tables(lam, vectors, b))
+    # the parameter streams of every entry that draws, in one Philox pass
+    drawn = [k for k, setting in enumerate(config.inequalities) if _draws_params(setting)]
+    draws = dict(zip(drawn, _param_draws(config.seed, dim, indices, drawn))) if drawn else {}
     return [
         _evaluate_block(
             setting,
             batch,
-            _block_params(setting, indices, config.seed, dim, ordinal),
+            _block_params(setting, indices, config.seed, dim, ordinal, draws.get(ordinal)),
             plans[ordinal],
             config.slack,
         )

@@ -124,16 +124,22 @@ class DensityMatrix(HermitianMatrix):
 
 def _hermitian_part(a: np.ndarray) -> np.ndarray:
     """(A + A†)/2 of every matrix in a stack; rejects any whose asymmetry
-    exceeds the threshold, so non-Hermitian data is not silently averaged."""
+    exceeds the threshold, so non-Hermitian data is not silently averaged.
+    One fresh array holds A - A† for the check, then A + A†, halved in place
+    (exactly, as a division by 2 is); ``a`` itself is never written."""
     ah = _dagger(a)
-    asym = _norms(a - ah)
+    out = np.subtract(a, ah, out=np.empty(a.shape, dtype=complex))
+    asym = _norms(out)
     bad = asym > ASYMMETRY_TOL * np.maximum(1.0, _norms(a))
     if bad.any():
         raise ValueError(
             f"input is not self-adjoint: asymmetry {asym[bad].flat[0]:.3e} "
             "exceeds threshold"
         )
-    return (a + ah) / 2
+    np.add(a, ah, out=out)
+    parts = out.view(np.float64)
+    parts *= 0.5
+    return out
 
 
 def _check_trace_one(a: np.ndarray) -> None:

@@ -21,6 +21,13 @@ QUARTER = json.dumps({
 })
 
 
+SUM_TRIPLE = json.dumps({
+    "f": {"kind": "power", "p": 1.0},
+    "g": {"kind": "scaled_sum", "terms": [[1.0, 2.0], [1.0, 1.0]]},
+    "h": {"kind": "power", "p": 4.0},
+})
+
+
 def small_config_doc():
     return {
         "seed": 42,
@@ -372,6 +379,16 @@ class TestBeta:
         assert captured.err.startswith("error: beta corner k/(1+k+l)^2 overflows at k = 1e+200")
         assert "l = 1e+200" in captured.err
 
+    @pytest.mark.parametrize("triple", [SUM_TRIPLE, QUARTER], ids=["sum", "quarter"])
+    @pytest.mark.parametrize("grid", ["1", "0", "-5"])
+    def test_short_grid_exit_two(self, triple, grid, capsys):
+        # one point gave the ratio at eps alone (M_g = 1.0000009999990001 for
+        # SUM_TRIPLE, against 1.5), and a closed-form triple ignored the grid
+        assert main(["beta", "--triple", triple, "--grid", grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: ratio grid needs at least 2 points\n"
+
     def test_triple_from_file(self, tmp_path, capsys):
         path = tmp_path / "triple.json"
         path.write_text(QUARTER)
@@ -393,6 +410,13 @@ class TestPairs:
         assert "(f,h): anti-monotone" in out
         assert "assumption = II" in out
 
+    @pytest.mark.parametrize("grid", ["1", "0"])
+    def test_short_grid_exit_two(self, grid, capsys):
+        assert main(["pairs", "--triple", SUM_TRIPLE, "--grid", grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: classification grid needs at least 2 points\n"
+
 
 class TestScanL:
     def test_power_triple_passes(self, capsys):
@@ -412,6 +436,11 @@ class TestScanL:
 
     def test_coarse_grid(self, capsys):
         assert main(["scan-l", "--triple", QUARTER, "--grid", "2"]) == 0
+
+    @pytest.mark.parametrize("grid", ["1", "0"])
+    def test_short_grid_exit_two(self, grid, capsys):
+        assert main(["scan-l", "--triple", QUARTER, "--grid", grid]) == 2
+        assert capsys.readouterr().err == "error: scan grid needs at least 2 points\n"
 
 
 class TestLemma41:

@@ -221,6 +221,33 @@ class TestBetaCoefficient:
             cor41_beta(-1.0, 1.0)
 
 
+class TestGridSizes:
+    """Every grid-based decision needs at least two grid points, closed form
+    or not, as ``classify_pair`` and ``l_scan_min`` already require."""
+
+    SUM = FunctionTriple(
+        Power(p=1.0), ScaledSum(terms=((1.0, 2.0), (1.0, 1.0))), Power(p=4.0)
+    )
+    POWERS = FunctionTriple(Power(p=0.25), Power(p=0.25), Power(p=0.5))
+
+    @pytest.mark.parametrize("triple", [SUM, POWERS], ids=["sum", "powers"])
+    @pytest.mark.parametrize("k", [1, 0, -3])
+    def test_ratio_bounds_rejects_short_grid(self, triple, k):
+        with pytest.raises(ValueError, match="ratio grid needs at least 2 points"):
+            ratio_bounds(triple, k)
+
+    @pytest.mark.parametrize("triple", [SUM, POWERS], ids=["sum", "powers"])
+    @pytest.mark.parametrize("k_pairs", [1, 0, -3])
+    def test_check_assumption_rejects_short_grid(self, triple, k_pairs):
+        with pytest.raises(ValueError, match="pair grid needs at least 2 points"):
+            check_assumption(triple, k_pairs)
+
+    @pytest.mark.parametrize("triple", [SUM, POWERS], ids=["sum", "powers"])
+    def test_two_points_accepted(self, triple):
+        assert ratio_bounds(triple, 2).grid_size == 2
+        assert check_assumption(triple, 2) is Assumption.I
+
+
 class TestCornerFunction:
     """The corner function (R^2-1)(R^2k-1)(R^l+1)^2 / (R^(1+k+l)-1)^2 is
     ``lemma41_lhs(1, k, l, log R)``."""

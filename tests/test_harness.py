@@ -283,6 +283,49 @@ class TestParamResolution:
         a2 = _block_params(setting, np.arange(10, 30), seed=9, dim=3, ordinal=2)
         assert a1["alpha"][0] == a2["alpha"][7]
 
+    def test_param_draws_of_many_entries_match_one_at_a_time(self):
+        indices = np.array([0, 5, 2**40 + 3, 2**44 - 1])
+        ordinals = [0, 3, 13, 255]
+        together = _param_draws(7, 64, indices, ordinals)
+        assert together.shape == (4, 4, 4)
+        for row, ordinal in zip(together, ordinals):
+            assert row.tobytes() == _param_draws(7, 64, indices, ordinal).tobytes()
+
+    def test_given_draws_are_the_entry_draws(self):
+        setting = InequalitySetting(id=InequalityId.THM22_GWYD)
+        indices = np.arange(3, 40)
+        draws = _param_draws(9, 5, indices, [1, 4])[1]
+        given = _block_params(setting, indices, seed=9, dim=5, ordinal=4, draws=draws)
+        made = _block_params(setting, indices, seed=9, dim=5, ordinal=4)
+        assert given.keys() == made.keys()
+        assert all(given[k].tobytes() == made[k].tobytes() for k in made)
+
+    def test_one_philox_pass_per_block(self):
+        config = config_from_dict(load_default_config())
+        want = run_campaign(config)
+        calls = []
+        philox = harness._philox_random
+
+        def counted(key0, key1):
+            calls.append(key1.shape)
+            return philox(key0, key1)
+
+        with patch.object(harness, "_philox_random", counted):
+            got = run_campaign(config)
+        drawn = sum(map(harness._draws_params, config.inequalities))
+        blocks = harness._blocks(config)
+        assert calls == [(drawn, stop - start) for _dim, start, stop in blocks]
+        for g, w in zip(got.columns, want.columns):
+            assert g.margin.tobytes() == w.margin.tobytes()
+
+    def test_matrix_keys_of_an_index_array(self):
+        indices = np.array([0, 9, 2**44 - 1])
+        keys = harness._matrix_key(2**64 - 1, 4095, indices)
+        assert keys.shape == (3, 2) and keys.dtype == np.uint64
+        for key, index in zip(keys, indices.tolist()):
+            one = harness._matrix_key(2**64 - 1, 4095, index)
+            assert one.tolist() == key.tolist() == [2**64 - 1, (4095 << 44) | index]
+
 
 class TestConfig:
     def test_unknown_top_key(self):

@@ -8,8 +8,10 @@ from skewlab.linalg import (
     DensityMatrix,
     EigenDecompositionError,
     HermitianMatrix,
+    density_stack,
     element_table,
     hermitian_eigen,
+    hermitian_stack,
     matrix_from_json,
     matrix_to_json,
 )
@@ -71,6 +73,74 @@ class TestTypes:
         h = HermitianMatrix(np.eye(2))
         with pytest.raises(ValueError):
             h.entries[0, 0] = 5.0
+
+
+def _corrupt(m, how):
+    """A copy of matrix ``m`` broken one way: a NaN or an infinite entry, an
+    asymmetric entry, or a trace of 1.5."""
+    m = m.copy()
+    if how == "nan":
+        m[0, 1] = np.nan
+    elif how == "inf":
+        m[1, 1] = complex(np.inf, 0.0)
+    elif how == "asymmetric":
+        m[0, 1] += 0.25
+    else:
+        m *= 1.5
+    return m
+
+
+class TestStackValidation:
+    """``hermitian_stack`` and ``density_stack`` check every matrix of a stack
+    as ``HermitianMatrix`` and ``DensityMatrix`` check one, with the same
+    message when the k-th matrix alone is bad, and never write the stack."""
+
+    HOWS = ["nan", "inf", "asymmetric", "trace"]
+
+    @staticmethod
+    def states(rng, s=4, n=3):
+        return np.stack([random_density(n, rng).entries for _ in range(s)])
+
+    @staticmethod
+    def message(fn, arg):
+        with pytest.raises(ValueError) as exc:
+            fn(arg)
+        return str(exc.value)
+
+    @pytest.mark.parametrize("how", HOWS)
+    @pytest.mark.parametrize("k", [0, 2, 3])
+    def test_density_stack_rejects_kth_as_density_matrix(self, how, k):
+        stack = self.states(np.random.default_rng(10 + k))
+        stack[k] = _corrupt(stack[k], how)
+        before = stack.copy()
+        got = self.message(density_stack, stack)
+        assert got == self.message(DensityMatrix, stack[k])
+        assert got.startswith({"nan": "matrix entries must be finite",
+                               "inf": "matrix entries must be finite",
+                               "asymmetric": "input is not self-adjoint: asymmetry",
+                               "trace": "trace must be 1, got 1."}[how])
+        assert stack.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("how", ["nan", "inf", "asymmetric"])
+    @pytest.mark.parametrize("k", [0, 2, 3])
+    def test_hermitian_stack_rejects_kth_as_hermitian_matrix(self, how, k):
+        rng = np.random.default_rng(20 + k)
+        stack = np.stack([random_hermitian(3, rng) for _ in range(4)])
+        stack[k] = _corrupt(stack[k], how)
+        before = stack.copy()
+        got = self.message(hermitian_stack, stack)
+        assert got == self.message(HermitianMatrix, stack[k])
+        assert stack.tobytes() == before.tobytes()
+
+    def test_valid_stacks_pass_unwritten(self):
+        stack = self.states(np.random.default_rng(30))
+        before = stack.copy()
+        out = density_stack(stack)
+        assert not np.shares_memory(out, stack)
+        assert stack.tobytes() == before.tobytes()
+        for k in range(len(stack)):
+            assert out[k].tobytes() == DensityMatrix(stack[k]).entries.tobytes()
+            assert hermitian_stack(stack)[k].tobytes() == HermitianMatrix(stack[k]).entries.tobytes()
 
 
 class TestEigen:

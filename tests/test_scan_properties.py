@@ -131,6 +131,8 @@ small_grids = st.sampled_from([2, 3]) | st.integers(4, 400)
 large_grids = st.integers(2049, 2200)
 # row-block sizes: one row per block, a few rows, and the shipped size
 blocks = st.sampled_from([1, 7, 64, functions._PAIR_BLOCK])
+# check_assumption's own row-block sizes: the same, its shipped size and 1 << 16
+ASSUMPTION_BLOCKS = [1, 7, 64, functions._ASSUMPTION_BLOCK, 1 << 16]
 
 
 # ------------------------------------------------------------------ l_scan_min
@@ -304,9 +306,9 @@ def _outcome(fn, *args):
 
 
 @PROPERTY
-@given(triple=triples(), k=small_grids, block=blocks)
+@given(triple=triples(), k=small_grids, block=st.sampled_from(ASSUMPTION_BLOCKS))
 def test_check_assumption_matches_triu_form(triple, k, block):
-    with patch.object(functions, "_PAIR_BLOCK", block):
+    with patch.object(functions, "_ASSUMPTION_BLOCK", block):
         got = _outcome(check_assumption, triple, k)
     assert got == _outcome(triu_check_assumption, triple, k)
 
@@ -318,9 +320,9 @@ def test_check_assumption_matches_triu_form(triple, k, block):
     # condition II fails only on pairs with both points above 2/3, in late row blocks
     FunctionTriple(Power(p=1.0), Power(p=1.0), Exp(a=-3.0)),
 ])
-@pytest.mark.parametrize("block", [1, 7, functions._PAIR_BLOCK])
+@pytest.mark.parametrize("block", [1, 7, functions._ASSUMPTION_BLOCK, 1 << 16])
 def test_check_assumption_matches_triu_form_on_known_triples(triple, block):
-    with patch.object(functions, "_PAIR_BLOCK", block):
+    with patch.object(functions, "_ASSUMPTION_BLOCK", block):
         got = check_assumption(triple, 600)
     assert got == triu_check_assumption(triple, 600)
 
@@ -333,8 +335,8 @@ def test_check_assumption_matches_triu_form_on_known_triples(triple, block):
     FunctionTriple(Power(p=1.0), ScaledSum(((1.0, 1.0), (1.0, 2.0))), Power(p=-0.25)),
 ])
 @pytest.mark.parametrize("k_pairs", [2, 3, 130, 512])
-@pytest.mark.parametrize("block", [1, 7, 64, functions._PAIR_BLOCK])
+@pytest.mark.parametrize("block", ASSUMPTION_BLOCKS)
 def test_check_assumption_matches_triu_form_on_grid_sizes(triple, k_pairs, block):
-    with patch.object(functions, "_PAIR_BLOCK", block):
+    with patch.object(functions, "_ASSUMPTION_BLOCK", block):
         got = _outcome(check_assumption, triple, k_pairs)
     assert got == _outcome(triu_check_assumption, triple, k_pairs)
