@@ -336,6 +336,36 @@ def _ratio_extrema(f: ScalarFunction, g: ScalarFunction, k: int, eps: float) -> 
     return (float(ratio.min()), float(ratio.max()))
 
 
+class _PairSums:
+    """The pair sums x[i] + t[j] of two grids, a block of rows and columns at
+    a time, each block one rank-2 matrix product: [x, 1] (rows x 2) times
+    [1; t] (2 x cols). Both factors are built once.
+
+    Each entry is x[i] * 1 + 1 * t[j], the sum of two exact products, so the
+    product rounds once, as x[i] + t[j] does, and has the same bits, with
+    inf and NaN alike. Only the sign of an exact zero needs care: the
+    product's sum starts from +0.0 and so never gives the -0.0 that
+    x[i] + t[j] gives where both are -0.0. Those cells are set after the
+    product, and only on grids that hold a -0.0. A pair difference
+    x[i] - y[j] is the pair sum with t = -y, as negation is exact.
+    """
+
+    def __init__(self, x: np.ndarray, t: np.ndarray):
+        self.left = np.stack((x, np.ones_like(x)), axis=1)
+        self.right = np.stack((np.ones_like(t), t))
+        self.neg_zero_x = (x == 0.0) & np.signbit(x)
+        self.neg_zero_t = (t == 0.0) & np.signbit(t)
+        self.neg_zeros = bool(self.neg_zero_x.any() and self.neg_zero_t.any())
+
+    def __call__(self, rows: slice, cols: slice, out: np.ndarray | None = None) -> np.ndarray:
+        out = np.matmul(self.left[rows], self.right[:, cols], out=out)
+        if self.neg_zeros:
+            i = np.flatnonzero(self.neg_zero_x[rows])
+            j = np.flatnonzero(self.neg_zero_t[cols])
+            out[np.ix_(i, j)] = -0.0
+        return out
+
+
 def _pair_condition(fv: np.ndarray, gv: np.ndarray, sign: int, tol: float = _PAIR_TOL) -> bool:
     """True when sign * (f(x)-f(y)) * (g(x)-g(y)) >= -tol for every grid pair.
 
@@ -359,12 +389,11 @@ def _pair_condition(fv: np.ndarray, gv: np.ndarray, sign: int, tol: float = _PAI
         return False
     # Borderline: apply the product tolerance pairwise, in row blocks.
     step = max(1, _PAIR_BLOCK // n)
+    d_f, d_g = _PairSums(fv, -fv), _PairSums(gv, -gv)
+    every = slice(None)
     for lo in range(0, n, step):
-        prod = (
-            sign
-            * (fv[lo : lo + step, None] - fv[None, :])
-            * (gv[lo : lo + step, None] - gv[None, :])
-        )
+        r = slice(lo, lo + step)
+        prod = sign * d_f(r, every) * d_g(r, every)
         if not float(prod.min()) >= -tol:
             return False
     return True
@@ -419,6 +448,13 @@ def check_assumption(triple: FunctionTriple, k_pairs: int = PAIR_GRID) -> Assump
     monotone pair, (f,h) an anti-monotone pair, with 1 + dG/dF + dH/dF >= 0.
     A constant h counts as a (degenerate) anti-monotone partner, which is what
     routes two-function triples through condition II.
+
+    The divided differences are ratios of log-value differences
+    log f(y) - log f(x), taken over the pairs x < y in row blocks of about
+    ``_ASSUMPTION_BLOCK`` pairs. Each block of differences is one rank-2
+    matrix product (``_PairSums``) whose entries are sums of two exact
+    products, rounded once, so they have the bits of the broadcast
+    subtraction.
     """
     if k_pairs < 2:
         raise ValueError("pair grid needs at least 2 points")
@@ -436,9 +472,9 @@ def check_assumption(triple: FunctionTriple, k_pairs: int = PAIR_GRID) -> Assump
     fh_mono = _pair_condition(fv, hv, +1) and m_h >= -_PAIR_TOL
     fh_anti = _pair_condition(fv, hv, -1) and M_h <= _PAIR_TOL
 
-    lf = np.asarray(f.log_value(grid), dtype=float)
-    lg = np.asarray(g.log_value(grid), dtype=float)
-    lh = np.asarray(h.log_value(grid), dtype=float)
+    lf, lg, lh = (np.asarray(fn.log_value(grid), dtype=float) for fn in (f, g, h))
+    # the differences lv[j] - lv[i] of log values, as pair sums -lv[i] + lv[j]
+    d_lf, d_lg, d_lh = (_PairSums(-lv, lv) for lv in (lf, lg, lh))
     # every pair i < j, a block of rows at a time, so memory stays O(k); each
     # pair goes through the same operations as it would alone
     cond_i, cond_ii = fh_mono, fh_anti
@@ -447,12 +483,12 @@ def check_assumption(triple: FunctionTriple, k_pairs: int = PAIR_GRID) -> Assump
         hi = min(lo + rows, k_pairs - 1)
         r, c = slice(lo, hi), slice(lo + 1, k_pairs)
         lower = np.tri(hi - lo, k=-1, dtype=bool)
-        d_f = lf[None, c] - lf[r, None]
+        d_f = d_lf(r, c)
         if not _holds(d_f > 0.0, lower):
             raise ValueError("f is not strictly increasing on the grid")
         with np.errstate(invalid="ignore"):  # 0/0 on the pairs j == i
-            r_g = (lg[None, c] - lg[r, None]) / d_f
-            r_h = (lh[None, c] - lh[r, None]) / d_f
+            r_g = d_lg(r, c) / d_f
+            r_h = d_lh(r, c) / d_f
         cond_i = cond_i and _holds(1.0 + r_g <= r_h + _PAIR_TOL, lower)
         cond_ii = cond_ii and _holds(1.0 + r_g + r_h >= -_PAIR_TOL, lower)
 
@@ -556,8 +592,19 @@ def l_scan_min(triple: FunctionTriple, k: int = 200) -> LScanResult:
     rows x (k - 1) float buffers are allocated once per call, and each block
     works in reshaped views of them. The argmin is the first pair in
     row-major order, which always has i < j; if every pair is excluded the
-    result is (inf, grid[0], grid[0]). A NaN ratio (from non-finite function
-    values) is returned as the minimum, as ``np.argmin`` would.
+    result is (inf, grid[0], grid[0]).
+
+    The four pointwise quantities f^2, g^2, h and f g h must be finite on the
+    grid: a ValueError names the first that is not, and its first grid
+    point, so an overflow never reads as a result. A NaN ratio, where the
+    products of finite pair differences overflow, is returned as the
+    minimum, as ``np.argmin`` would.
+
+    The pair differences f^2(x) - f^2(y), g^2(x) - g^2(y) and
+    (f g h)(x) - (f g h)(y), and the sum h(x) + h(y), are each formed as one
+    rank-2 matrix product per block (``_PairSums``), whose entries are sums
+    of two exact products, rounded once, so they have the bits of the
+    broadcast subtraction or addition.
 
     The exclusion is applied lazily. A block's ratios are computed for every
     pair, the pairs j <= i are set to +inf, and only the block's first argmin
@@ -570,10 +617,22 @@ def l_scan_min(triple: FunctionTriple, k: int = 200) -> LScanResult:
     if k < 2:
         raise ValueError("scan grid needs at least 2 points")
     grid = np.linspace(triple.eps, 1.0, k)
-    fv = np.asarray(triple.f.value(grid), dtype=float)
-    gv = np.asarray(triple.g.value(grid), dtype=float)
-    hv = np.asarray(triple.h.value(grid), dtype=float)
-    f2, g2, prod = fv**2, gv**2, fv * gv * hv
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        fv = np.asarray(triple.f.value(grid), dtype=float)
+        gv = np.asarray(triple.g.value(grid), dtype=float)
+        hv = np.asarray(triple.h.value(grid), dtype=float)
+        f2, g2, prod = fv**2, gv**2, fv * gv * hv
+    for name, values in (("f^2", f2), ("g^2", g2), ("h", hv), ("f g h", prod)):
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise ValueError(
+                f"scan quantity {name} is not finite at x = "
+                f"{float(grid[np.argmin(finite)])!r}, the first such point of the "
+                f"{k}-point grid"
+            )
+    d_f2, d_g2, s_h, d_prod = (
+        _PairSums(x, t) for x, t in ((f2, -f2), (g2, -g2), (hv, hv), (prod, -prod))
+    )
     best, arg_i, arg_j = math.inf, 0, 0
     rows = min(max(1, _PAIR_BLOCK // k), k - 1)
     num_buf, den_buf, val_buf = (np.empty(rows * (k - 1)) for _ in range(3))
@@ -585,10 +644,10 @@ def l_scan_min(triple: FunctionTriple, k: int = 200) -> LScanResult:
         shape = (hi - lo, k - 1 - lo)
         size = shape[0] * shape[1]
         num, den, values = (buf[:size].reshape(shape) for buf in (num_buf, den_buf, val_buf))
-        np.subtract.outer(f2[r], f2[c], out=num)
-        num *= np.subtract.outer(g2[r], g2[c], out=values)
-        num *= np.square(np.add.outer(hv[r], hv[c], out=values), out=values)
-        np.subtract.outer(prod[r], prod[c], out=den)
+        d_f2(r, c, out=num)
+        num *= d_g2(r, c, out=values)
+        num *= np.square(s_h(r, c, out=values), out=values)
+        d_prod(r, c, out=den)
         with np.errstate(divide="ignore", invalid="ignore"):  # excluded pairs only
             np.divide(num, np.square(den, out=values), out=values)
         values[:, : hi - lo][lower[: hi - lo, : hi - lo]] = np.inf

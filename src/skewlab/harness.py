@@ -208,6 +208,10 @@ class CampaignConfig:
             raise ConfigError("dims must be a nonempty list of integers >= 2")
         if any(n >= 4096 for n in self.dims):
             raise ConfigError("dims above 4095 are not supported")
+        if len(set(self.dims)) < len(self.dims):
+            # a seeded sample depends on (seed, dim, index) only, so a repeated
+            # dim draws the same samples again and counts them twice
+            raise ConfigError(f"dims must not repeat, got {list(self.dims)}")
         if self.samples_per_dim < 1:
             raise ConfigError("samples_per_dim must be >= 1")
         if len(self.inequalities) > 256:
@@ -454,14 +458,17 @@ def _philox_random(key0: int, key1: np.ndarray) -> np.ndarray:
 
     A fresh Philox starts at counter 0 and increments it before its first
     block, so the first four outputs are one 10-round block at counter 1.
+    Round 0 works on that fixed counter (1, 0, 0, 0) and the unbumped key,
+    and leaves the state (k0, 0, k1, M0), so the loop starts there, at
+    round 1.
     """
     k0 = np.full(key1.shape, key0, dtype=np.uint64)
     k1 = key1.astype(np.uint64)
-    c0 = np.ones(key1.shape, dtype=np.uint64)
-    c1 = c2 = c3 = np.zeros(key1.shape, dtype=np.uint64)
-    for r in range(10):
-        if r:
-            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+    c0, c2 = k0, k1
+    c1 = np.zeros(key1.shape, dtype=np.uint64)
+    c3 = np.full(key1.shape, _PHILOX_M[0], dtype=np.uint64)
+    for _ in range(9):
+        k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
         lo0, hi0 = _mulhilo(_PHILOX_M[0], c0)
         lo1, hi1 = _mulhilo(_PHILOX_M[1], c2)
         c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import skewlab
@@ -167,6 +168,18 @@ class TestVerify:
         captured = capsys.readouterr()
         assert "VIOLATED" not in captured.out and "PASS" not in captured.out
         assert "alpha must lie in [0, 1]" in captured.err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("dims", [[2, 2], [2, 3, 2]])
+    def test_repeated_dim_exit_two(self, tmp_path, capsys, dims):
+        # a repeated dim draws the same seeded samples again, which reported
+        # samples=10 for 5 distinct samples and counted each violation twice
+        doc = dict(small_config_doc(), dims=dims, samples_per_dim=5)
+        out_path = tmp_path / "report.json"
+        assert main(["verify", write_config(tmp_path, doc), "--out", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: dims must not repeat, got {dims}\n"
         assert not out_path.exists()
 
     @pytest.mark.parametrize("entry", [
@@ -441,6 +454,25 @@ class TestScanL:
     def test_short_grid_exit_two(self, grid, capsys):
         assert main(["scan-l", "--triple", QUARTER, "--grid", grid]) == 2
         assert capsys.readouterr().err == "error: scan grid needs at least 2 points\n"
+
+    @pytest.mark.parametrize("grid", [200, 2000])
+    def test_overflowing_quantity_exit_two(self, capsys, grid):
+        # g^2 = e^{800 x} overflows past x = 0.887; the scan read min_L = nan
+        # after numpy's warnings, and exited 0
+        triple = json.dumps({
+            "f": {"kind": "power", "p": 1},
+            "g": {"kind": "exp", "a": 400},
+            "h": {"kind": "power", "p": 3},
+        })
+        points = np.linspace(1e-6, 1.0, grid)
+        first = float(points[points * 800.0 > math.log(sys.float_info.max)][0])
+        assert main(["scan-l", "--triple", triple, "--grid", str(grid)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: scan quantity g^2 is not finite at x = {first!r}, the first such "
+            f"point of the {grid}-point grid\n"
+        )
 
 
 class TestLemma41:

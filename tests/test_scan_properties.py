@@ -4,7 +4,8 @@ the dense k x k references below return.
 ``dense_l_scan_min`` and ``dense_pair_condition`` are the full-matrix forms
 of ``l_scan_min`` and ``_pair_condition``: they evaluate every grid pair at
 once. The fast forms must agree with them bit for bit (compared by ``repr``),
-so the tests demand equality, not closeness.
+so the tests demand equality, not closeness. ``_PairSums``, which forms the
+scans' pair differences and sums, is held to broadcasting in the same way.
 """
 
 from unittest.mock import patch
@@ -340,3 +341,48 @@ def test_check_assumption_matches_triu_form_on_grid_sizes(triple, k_pairs, block
     with patch.object(functions, "_ASSUMPTION_BLOCK", block):
         got = _outcome(check_assumption, triple, k_pairs)
     assert got == _outcome(triu_check_assumption, triple, k_pairs)
+
+
+# ------------------------------------------------------------------ pair sums
+
+# special values among ordinary ones: signed zeros, infinities, NaN, the
+# smallest subnormals and normals, and magnitudes near 1e-300 and 1e300
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+           -2.2250738585072014e-308, 1e-300, -1e-300, 1e300, -1e300, 1.7976931348623157e308,
+           -1.7976931348623157e308, 1.0, -1.0]
+pair_values = st.lists(st.sampled_from(SPECIAL) | st.floats(allow_nan=True, allow_infinity=True),
+                       min_size=1, max_size=300)
+
+
+def _reprs(a):
+    return list(map(repr, a.ravel().tolist()))
+
+
+def _assert_pair_sums(x, y, rows, cols):
+    x, y = np.array(x, dtype=float), np.array(y, dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got_diff = functions._PairSums(x, -y)(rows, cols)
+        got_sum = functions._PairSums(x, y)(rows, cols)
+        want_diff = x[rows, None] - y[None, cols]
+        want_sum = x[rows, None] + y[None, cols]
+    assert _reprs(got_diff) == _reprs(want_diff)
+    assert _reprs(got_sum) == _reprs(want_sum)
+
+
+@PROPERTY
+@given(x=pair_values, y=pair_values, data=st.data())
+def test_pair_sums_match_broadcast(x, y, data):
+    lo = data.draw(st.integers(0, len(x) - 1))
+    hi = data.draw(st.integers(lo + 1, len(x)))
+    start = data.draw(st.integers(0, len(y) - 1))
+    _assert_pair_sums(x, y, slice(lo, hi), slice(start, None))
+
+
+@pytest.mark.parametrize("n", [len(SPECIAL), 100, 512])
+def test_pair_sums_match_broadcast_on_every_special_pair(n):
+    # every pair of special values; at n = 512 a block has 262,144 cells,
+    # enough for a threaded BLAS to split the product across its threads
+    values = np.resize(np.array(SPECIAL), n)
+    rng = np.random.default_rng(n)
+    _assert_pair_sums(values, rng.permutation(values), slice(None), slice(None))
+    _assert_pair_sums(values, values, slice(3, None), slice(1, -2))
