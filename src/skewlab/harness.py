@@ -48,7 +48,6 @@ from .linalg import (
     _real,
     density_stack,
     eigh_stack,
-    element_table,
     element_tables,
     hermitian_eigen,
     hermitian_stack,
@@ -400,7 +399,9 @@ def _draw_sample(seed, dim, index, delta):
 
 
 def _draw_block(seed: int, dim: int, indices: np.ndarray, delta: float):
-    """Validated stacks (rho, A, B) [S, n, n] of the samples ``indices``.
+    """Validated stacks (rho [S, n, n], obs [2, S, n, n]) of the samples
+    ``indices``: obs[0] holds the observables A and obs[1] the observables B,
+    one C-contiguous pair stack, so every later step treats both in one call.
 
     Sample i draws from the same Philox stream as ``_draw_sample``: one
     standard_normal((6, n, n)) call yields the six (n, n) draws that
@@ -427,11 +428,8 @@ def _draw_block(seed: int, dim: int, indices: np.ndarray, delta: float):
         bitgen.state = state
         rng.standard_normal(out=sample)
     g = _ginibre_from(z[:, 0::2], z[:, 1::2])
-    return (
-        density_stack(_state_from(g[:, 0], delta)),
-        hermitian_stack(_observable_from(g[:, 1])),
-        hermitian_stack(_observable_from(g[:, 2])),
-    )
+    rho = density_stack(_state_from(g[:, 0], delta))
+    return rho, hermitian_stack(_observable_from(np.swapaxes(g[:, 1:], 0, 1)))
 
 
 # Philox4x64-10 (Salmon et al., SC'11) as numpy implements it, vectorized
@@ -556,14 +554,15 @@ def _block_params(
 
 class _Batch:
     """S samples of one dimension in their states' eigenbases, with the
-    per-sample reductions that every inequality kernel shares."""
+    per-sample reductions that every inequality kernel shares. Whatever
+    belongs to the observables carries a leading pair axis: 0 for A, 1 for B."""
 
-    def __init__(self, lam: np.ndarray, ta: np.ndarray, tb: np.ndarray):
+    def __init__(self, lam: np.ndarray, t: np.ndarray):
         self.lam = lam                                   # [S, n], descending
-        self.w = (np.abs(ta) ** 2, np.abs(tb) ** 2)      # [S, n, n]
-        self.row = tuple(w.sum(axis=-1) for w in self.w)
-        self.var = tuple(_total(lam, row) for row in self.row)   # Tr[rho H0^2]
-        d = np.einsum("sij,sji->si", ta, tb)             # diag(T_A T_B)
+        self.w = np.abs(t) ** 2                          # [2, S, n, n]
+        self.row = self.w.sum(axis=-1)                   # [2, S, n]
+        self.var = _total(lam, self.row)                 # [2, S], Tr[rho H0^2]
+        d = np.einsum("sij,sji->si", t[0], t[1])         # diag(T_A T_B)
         self.im_d = d.imag
         self.cov = np.sum(lam * d.real, axis=-1)         # Re Tr[rho A0 B0]
 
@@ -573,21 +572,21 @@ class _Batch:
         2i sum_i weights_i Im d_i."""
         return 4.0 * np.sum(weights * self.im_d, axis=-1) ** 2
 
-    def wyd(self, k: int, alpha) -> tuple[np.ndarray, np.ndarray]:
-        return _wyd_ij(self.lam, self.w[k], self.row[k], alpha)
-
-    def u_product(self, family, *params) -> np.ndarray:
-        """U_A * U_B, where U = sqrt(I J) from one family's (I, J)."""
-        ua, ub = (_u_value(*family(self.lam, w, row, *params)) for w, row in zip(self.w, self.row))
-        return ua * ub
+    @functools.cached_property
+    def half(self) -> tuple[np.ndarray, np.ndarray]:
+        """(I, J) [2, S] at alpha = 1/2."""
+        return _wyd_ij(self.lam, self.w, self.row, 0.5)
 
     @functools.cached_property
-    def half(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """(I, J) at alpha = 1/2 for A and for B."""
-        return self.wyd(0, 0.5), self.wyd(1, 0.5)
+    def luo_u(self) -> np.ndarray:
+        """Luo's U [2, S] from the skew information at alpha = 1/2."""
+        return _luo_u(self.var, self.half[0])[0]
 
-    def luo_u(self, k: int) -> np.ndarray:
-        return _luo_u(self.var[k], self.half[k][0])[0]
+
+def _u_product(i_val: np.ndarray, j_val: np.ndarray) -> np.ndarray:
+    """U_A * U_B, where U = sqrt(I J), from one family call's (I, J) [2, S]."""
+    ua, ub = _u_value(i_val, j_val)
+    return ua * ub
 
 
 def _chain(values, links):
@@ -667,61 +666,57 @@ def _schrodinger(batch, params, plan):
 
 
 def _luo23(batch, params, plan):
-    return batch.luo_u(0) * batch.luo_u(1), 0.25 * batch.comm_sq(batch.lam), {}
+    return batch.luo_u[0] * batch.luo_u[1], 0.25 * batch.comm_sq(batch.lam), {}
 
 
 def _naive(batch, params, plan):
-    (ia, _), (ib, _) = batch.half
-    lhs = np.maximum(ia, 0.0) * np.maximum(ib, 0.0)
-    return lhs, 0.25 * batch.comm_sq(batch.lam), {}
+    ia, ib = np.maximum(batch.half[0], 0.0)
+    return ia * ib, 0.25 * batch.comm_sq(batch.lam), {}
 
 
 def _thm21(batch, params, plan):
     alpha = params["alpha"]
-    lhs = batch.u_product(_wyd_ij, alpha)
+    lhs = _u_product(*_wyd_ij(batch.lam, batch.w, batch.row, alpha))
     return lhs, alpha * (1.0 - alpha) * batch.comm_sq(batch.lam), {}
 
 
 def _thm22(batch, params, plan):
     alpha, beta = params["alpha"], params["beta"]
-    return batch.u_product(_gwyd_ij, alpha, beta), alpha * beta * batch.comm_sq(batch.lam), {}
+    lhs = _u_product(*_gwyd_ij(batch.lam, batch.w, batch.row, alpha, beta))
+    return lhs, alpha * beta * batch.comm_sq(batch.lam), {}
 
 
 def _thm23(batch, params, plan):
     alpha, beta = params["alpha"], params["beta"]
     s = alpha + beta
     rhs = alpha * beta / s**2 * batch.comm_sq(_powers(batch.lam, s))
-    return batch.u_product(_tilde_ij, alpha, beta), rhs, {}
+    return _u_product(*_tilde_ij(batch.lam, batch.w, batch.row, alpha, beta)), rhs, {}
 
 
 def _fgh(batch, params, plan):
     fv, gv, hv = _triple_values(plan.triple, batch.lam)
-    lhs = _u_value(*_fgh_ij(batch.w[0], batch.row[0], fv, gv, hv)) * _u_value(
-        *_fgh_ij(batch.w[1], batch.row[1], fv, gv, hv)
-    )
+    lhs = _u_product(*_fgh_ij(batch.w, batch.row, fv, gv, hv))
     rhs = plan.beta * batch.comm_sq(fv * gv * hv)
     return lhs, rhs, {"beta": plan.beta, "assumption": plan.assumption.value}
 
 
 def _chain24(batch, params, plan):
-    v = batch.var[0]
     i_val = np.maximum(batch.half[0][0], 0.0)
-    return _chain((0.0, i_val, batch.luo_u(0), v), ("I>=0", "U>=I", "V>=U"))
+    return _chain((0.0, i_val, batch.luo_u[0], batch.var[0]), ("I>=0", "U>=I", "V>=U"))
 
 
 def _chain25(batch, params, plan):
-    alpha = params["alpha"]
-    i_a, j_a = batch.wyd(0, alpha)
-    i_h, j_h = batch.half[0]
+    i_a, j_a = _wyd_ij(batch.lam, batch.w[0], batch.row[0], params["alpha"])
+    i_h, j_h = batch.half
     return _chain(
-        (i_a, i_h, j_h, j_a), ("I_half>=I_alpha", "J_half>=I_half", "J_alpha>=J_half")
+        (i_a, i_h[0], j_h[0], j_a), ("I_half>=I_alpha", "J_half>=I_half", "J_alpha>=J_half")
     )
 
 
 def _chain27(batch, params, plan):
-    i_a, j_a = batch.wyd(0, params["alpha"])
+    i_a, j_a = _wyd_ij(batch.lam, batch.w[0], batch.row[0], params["alpha"])
     return _chain(
-        (0.0, i_a, _u_value(i_a, j_a), batch.luo_u(0)),
+        (0.0, i_a, _u_value(i_a, j_a), batch.luo_u[0]),
         ("I_alpha>=0", "U_alpha>=I_alpha", "U>=U_alpha"),
     )
 
@@ -919,12 +914,12 @@ def evaluate_inequality(
     missing = [name for name in names if name not in merged]
     if missing:
         raise ValueError(f"{setting.id.value} needs {' and '.join(map(repr, missing))}")
+    if not rho.dim == a.dim == b.dim:
+        raise ValueError(f"dimension mismatch: {rho.dim}, {a.dim} and {b.dim}")
     decomp = hermitian_eigen(rho)
-    batch = _Batch(
-        decomp.eigenvalues[None],
-        element_table(decomp, a).entries[None],
-        element_table(decomp, b).entries[None],
-    )
+    lam = decomp.eigenvalues[None]
+    obs = np.stack([a.entries, b.entries])[:, None]
+    batch = _Batch(lam, element_tables(lam, decomp.vectors[None], obs))
     one = {name: np.array([float(merged[name])]) for name in names}
     record = _record(setting, _evaluate_block(setting, batch, one, plan, slack), 0, rho.dim, index)
     record.state, record.obs_a, record.obs_b = np.asarray(rho), np.asarray(a), np.asarray(b)
@@ -1075,9 +1070,9 @@ def _block_rows(config: CampaignConfig, plans, dim: int, start: int, stop: int):
     """Evaluate every configured inequality on samples [start, stop) of one
     dimension as one stacked batch; returns one _EntryBlock per entry."""
     indices = np.arange(start, stop)
-    rho, a, b = _draw_block(config.seed, dim, indices, config.delta)
+    rho, obs = _draw_block(config.seed, dim, indices, config.delta)
     lam, vectors = eigh_stack(rho, density=True)
-    batch = _Batch(lam, element_tables(lam, vectors, a), element_tables(lam, vectors, b))
+    batch = _Batch(lam, element_tables(lam, vectors, obs))
     # the parameter streams of every entry that draws, in one Philox pass
     drawn = [k for k, setting in enumerate(config.inequalities) if _draws_params(setting)]
     draws = dict(zip(drawn, _param_draws(config.seed, dim, indices, drawn))) if drawn else {}
@@ -1109,9 +1104,9 @@ def _replay(seed: int, delta: float, picks) -> dict:
         size = _block_size(dim)
         for start in range(0, len(indices), size):
             chunk = indices[start : start + size]
-            stacks = _draw_block(seed, dim, np.array(chunk), delta)
+            rho, obs = _draw_block(seed, dim, np.array(chunk), delta)
             for k, index in enumerate(chunk):
-                out[dim, index] = tuple(stack[k] for stack in stacks)
+                out[dim, index] = rho[k], obs[0, k], obs[1, k]
     return out
 
 

@@ -284,12 +284,13 @@ def element_table(decomp: SpectralDecomposition, h: HermitianMatrix) -> MatrixEl
 
 
 def element_tables(lam: np.ndarray, v: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Centered observables [S, n, n] in the eigenbases ``v`` of a stack of
-    states with eigenvalues ``lam``; each table must stay
-    conjugate-symmetric, as ``element_table`` requires."""
+    """Centered observables [..., S, n, n] in the eigenbases ``v`` of a stack
+    of states with eigenvalues ``lam``, for observables ``h`` [..., S, n, n]
+    (leading axes, such as a pair of observables per state, broadcast); each
+    table must stay conjugate-symmetric, as ``element_table`` requires."""
     t = _dagger(v) @ h @ v
     mean = np.sum(lam * np.diagonal(t, axis1=-2, axis2=-1).real, axis=-1)
-    t = t - mean[:, None, None] * np.eye(lam.shape[-1])
+    t = t - mean[..., None, None] * np.eye(lam.shape[-1])
     asym = np.max(np.abs(t - _dagger(t)), axis=(-2, -1))
     bad = asym > ELEMENT_SYMMETRY_TOL * np.maximum(1.0, _norms(t))
     if bad.any():

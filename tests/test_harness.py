@@ -85,10 +85,10 @@ class TestSamplers:
     def test_block_draws_match_per_sample_streams(self):
         indices = np.array([0, 3, 2**40 + 1])
         for dim in (2, 5):
-            stacks = _draw_block(7, dim, indices, 1e-3)
+            rho, obs = _draw_block(7, dim, indices, 1e-3)
             for k, index in enumerate(indices.tolist()):
                 one = _draw_sample(7, dim, index, 1e-3)
-                for stack, m in zip(stacks, one):
+                for stack, m in zip((rho, obs[0], obs[1]), one):
                     assert np.array_equal(stack[k], m.entries)
 
     def test_distinct_seeds_distinct_matrices(self):
