@@ -474,6 +474,21 @@ class TestScanL:
             f"point of the {grid}-point grid\n"
         )
 
+    def test_overflowing_pair_product_exit_two(self, capsys):
+        # e^{600 x} - e^{600 y} squared overflows, though f g h itself does
+        # not; the scan read min_L = 0 at (0.427, 0.593), where L = 0.4811,
+        # after numpy's warnings, and exited 0
+        triple = json.dumps({"f": {"kind": "exp", "a": 300}, "g": {"kind": "power", "p": 1},
+                             "h": {"kind": "exp", "a": 300}})
+        assert main(["scan-l", "--triple", triple]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: scan numerator (f^2(x) - f^2(y)) (g^2(x) - g^2(y)) (h(x) + h(y))^2 "
+            "overflows at (x, y) = (1e-06, 0.5929652311557789), the first such pair of "
+            "the 200-point grid\n"
+        )
+
 
 class TestLemma41:
     def test_pass_exit_zero(self, capsys):

@@ -355,6 +355,33 @@ class TestLSurface:
         assert res.grid_size == 2
         assert res.min_value >= 1.0 - 1e-9
 
+    @pytest.mark.parametrize("k", [200, 2000])
+    @pytest.mark.parametrize("g, name", [
+        (Power(p=1.0), "numerator (f^2(x) - f^2(y)) (g^2(x) - g^2(y)) (h(x) + h(y))^2"),
+        # num is 0 everywhere, so an infinite den^2 read as a ratio of 0
+        (Const(c=1.0), "squared denominator (f g h(x) - f g h(y))^2"),
+    ])
+    def test_scan_pair_product_overflow_raises(self, g, name, k):
+        # f^2, g^2, h and f g h are finite on the grid; their pair products
+        # are not. With g = x the scan read min_L = 0 where L = 0.4811
+        t = FunctionTriple(Exp(a=300.0), g, Exp(a=300.0))
+        grid = np.linspace(t.eps, 1.0, k)
+        fv, gv, hv = (np.asarray(fn.value(grid), dtype=float) for fn in (t.f, t.g, t.h))
+        f2, g2, prod = fv**2, gv**2, fv * gv * hv
+        with np.errstate(over="ignore", invalid="ignore"):
+            num = (f2[:, None] - f2) * (g2[:, None] - g2) * (hv[:, None] + hv) ** 2
+            den_sq = (prod[:, None] - prod) ** 2
+        bad = np.triu(~np.isfinite(num) | ~np.isfinite(den_sq), k=1)
+        i, j = divmod(int(np.argmax(bad)), k)
+        assert np.isfinite(num[i, j]) == name.startswith("squared")
+        want = (
+            f"scan {name} overflows at (x, y) = ({float(grid[i])!r}, {float(grid[j])!r}), "
+            f"the first such pair of the {k}-point grid"
+        )
+        with pytest.raises(ValueError) as err:
+            l_scan_min(t, k=k)
+        assert str(err.value) == want
+
 
 class TestLemma41:
     def test_limit_equality(self):
