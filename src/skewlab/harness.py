@@ -706,11 +706,11 @@ def _chain24(batch, params, plan):
 
 
 def _chain25(batch, params, plan):
-    i_a, j_a = _wyd_ij(batch.lam, batch.w[0], batch.row[0], params["alpha"])
+    # the paper's third link, J_alpha >= J_half, is the first again: both
+    # margins are ex_alpha - ex_half, as I = t0 - ex and J = t0 + ex
+    i_a, _ = _wyd_ij(batch.lam, batch.w[0], batch.row[0], params["alpha"])
     i_h, j_h = batch.half
-    return _chain(
-        (i_a, i_h[0], j_h[0], j_a), ("I_half>=I_alpha", "J_half>=I_half", "J_alpha>=J_half")
-    )
+    return _chain((i_a, i_h[0], j_h[0]), ("I_half>=I_alpha", "J_half>=I_half"))
 
 
 def _chain27(batch, params, plan):

@@ -56,12 +56,9 @@ def test_default_campaign_matches_golden(report):
         tol = (THM22_TOL if ineq == "THM22_GWYD" else MARGIN_TOL) * scale
         assert abs(stats.min_margin - stored["min_margin"]) <= tol, ineq
         assert stats.worst.margin == stats.min_margin
-        # CHAIN_25's two outer links have mathematically equal margins, so a
-        # tie may resolve to the other link and its lhs/rhs
-        if ineq != "CHAIN_25":
-            assert abs(stats.worst.lhs - worst["lhs"]) <= tol, ineq
-            assert abs(stats.worst.rhs - worst["rhs"]) <= tol, ineq
-            assert stats.worst.params.get("link") == worst["params"].get("link")
+        assert abs(stats.worst.lhs - worst["lhs"]) <= tol, ineq
+        assert abs(stats.worst.rhs - worst["rhs"]) <= tol, ineq
+        assert stats.worst.params.get("link") == worst["params"].get("link")
 
 
 def test_report_independent_of_worker_count(config, report):
@@ -90,6 +87,5 @@ def test_evaluate_inequality_agrees_with_campaign_rows(config, report):
             where = (setting.id.value, dim, idx)
             assert abs(rec.margin - margin) <= tol, where
             assert rec.passed == passed, where
-            if setting.id is not harness.InequalityId.CHAIN_25:
-                assert abs(rec.lhs - lhs) <= tol, where
-                assert abs(rec.rhs - rhs) <= tol, where
+            assert abs(rec.lhs - lhs) <= tol, where
+            assert abs(rec.rhs - rhs) <= tol, where
