@@ -580,19 +580,13 @@ class LScanResult:
 
 
 def _check_pair_products(num, den_sq, below, xs, ys, k: int) -> None:
-    """Raise ValueError at a scan block's first pair i < j whose numerator
-    or squared denominator is not finite; ``below`` marks the pairs j <= i
-    in the block's leading square, and xs, ys are its rows' and columns'
-    grid points."""
-    bad = ~np.isfinite(num) | ~np.isfinite(den_sq)
+    """Raise ValueError at the first pair i < j of a scan block whose
+    numerator or den^2 overflowed; ``below`` marks the block's pairs j <= i."""
+    bad = ~(np.isfinite(num) & np.isfinite(den_sq))
     bad[:, : len(below)][below] = False
     if bad.any():
         i, j = divmod(int(np.argmax(bad)), bad.shape[1])
-        name = (
-            "numerator (f^2(x) - f^2(y)) (g^2(x) - g^2(y)) (h(x) + h(y))^2"
-            if not np.isfinite(num[i, j])
-            else "squared denominator (f g h(x) - f g h(y))^2"
-        )
+        name = "numerator" if not np.isfinite(num[i, j]) else "squared denominator"
         raise ValueError(
             f"scan {name} overflows at (x, y) = ({float(xs[i])!r}, {float(ys[j])!r}), "
             f"the first such pair of the {k}-point grid"
@@ -616,15 +610,12 @@ def l_scan_min(triple: FunctionTriple, k: int = 200) -> LScanResult:
 
     The four pointwise quantities f^2, g^2, h and f g h must be finite on the
     grid: a ValueError names the first that is not, and its first grid
-    point, so an overflow never reads as a result. So must the numerator
-    and the squared denominator of every pair i < j, where a product of
-    finite pair differences can still overflow (an infinite den^2 would
-    read as a ratio of 0): a ValueError names the first that overflows and
-    its first pair (x, y). Bounds from the largest |f^2|, |g^2|, |h| and
-    |f g h| on the grid, taken once per scan, show when no product can
-    overflow, and only otherwise is each block checked. A NaN ratio, which
-    is then left only where den^2 underflows to 0 with a zero numerator, is
-    returned as the minimum, as ``np.argmin`` would.
+    point, so an overflow never reads as a result. So must each pair's
+    numerator and den^2, which can overflow where their factors do not (an
+    infinite den^2 reads as a ratio of 0); blocks are checked only when
+    bounds from the grid maxima allow it. A NaN ratio, left only where den^2
+    underflows to 0 with a zero numerator, is returned as the minimum, as
+    ``np.argmin`` would; a ratio that overflows is +inf.
 
     The pair differences f^2(x) - f^2(y), g^2(x) - g^2(y) and
     (f g h)(x) - (f g h)(y), and the sum h(x) + h(y), are each formed as one
@@ -659,12 +650,10 @@ def l_scan_min(triple: FunctionTriple, k: int = 200) -> LScanResult:
     d_f2, d_g2, s_h, d_prod = (
         _PairSums(x, t) for x, t in ((f2, -f2), (g2, -g2), (hv, hv), (prod, -prod))
     )
-    # every pair difference or sum is at most twice the largest |value|, and
-    # rounding is monotone, so the products of these bounds, multiplied in
-    # the scan's order, bound every product the scan forms
-    top_f2, top_g2, top_h, top_prod = (2.0 * float(np.max(np.abs(v))) for v in (f2, g2, hv, prod))
-    bounds = (top_f2 * top_g2, top_h * top_h, top_prod * top_prod)
-    checked = not all(map(math.isfinite, (*bounds, bounds[0] * bounds[1])))
+    # a pair difference or sum is at most twice the largest |value|, and
+    # rounding is monotone: unless these bounds' products overflow, none can
+    top_f2, top_g2, top_h, top_p = (2.0 * float(np.max(np.abs(v))) for v in (f2, g2, hv, prod))
+    checked = not math.isfinite(top_f2 * top_g2 * (top_h * top_h) + top_p * top_p)
     best, arg_i, arg_j = math.inf, 0, 0
     rows = min(max(1, _PAIR_BLOCK // k), k - 1)
     num_buf, den_buf, val_buf = (np.empty(rows * (k - 1)) for _ in range(3))
@@ -677,7 +666,7 @@ def l_scan_min(triple: FunctionTriple, k: int = 200) -> LScanResult:
         size = shape[0] * shape[1]
         num, den, values = (buf[:size].reshape(shape) for buf in (num_buf, den_buf, val_buf))
         below = lower[: hi - lo, : hi - lo]
-        # an overflow raises below; dividing by zero is for excluded pairs only
+        # a product's overflow is checked; dividing by 0 is for excluded pairs
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             d_f2(r, c, out=num)
             num *= d_g2(r, c, out=values)

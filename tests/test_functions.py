@@ -357,9 +357,9 @@ class TestLSurface:
 
     @pytest.mark.parametrize("k", [200, 2000])
     @pytest.mark.parametrize("g, name", [
-        (Power(p=1.0), "numerator (f^2(x) - f^2(y)) (g^2(x) - g^2(y)) (h(x) + h(y))^2"),
+        (Power(p=1.0), "numerator"),
         # num is 0 everywhere, so an infinite den^2 read as a ratio of 0
-        (Const(c=1.0), "squared denominator (f g h(x) - f g h(y))^2"),
+        (Const(c=1.0), "squared denominator"),
     ])
     def test_scan_pair_product_overflow_raises(self, g, name, k):
         # f^2, g^2, h and f g h are finite on the grid; their pair products
