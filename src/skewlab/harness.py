@@ -428,8 +428,13 @@ def _draw_block(seed: int, dim: int, indices: np.ndarray, delta: float):
         bitgen.state = state
         rng.standard_normal(out=sample)
     g = _ginibre_from(z[:, 0::2], z[:, 1::2])
+    # each stack is freed once it is used up (the loop kept a view of z), so
+    # the pair stack's checks need no more memory than two stacks' checks did
+    del z, sample
     rho = density_stack(_state_from(g[:, 0], delta))
-    return rho, hermitian_stack(_observable_from(np.swapaxes(g[:, 1:], 0, 1)))
+    obs = _observable_from(np.swapaxes(g[:, 1:], 0, 1))
+    del g
+    return rho, hermitian_stack(obs)
 
 
 # Philox4x64-10 (Salmon et al., SC'11) as numpy implements it, vectorized

@@ -290,8 +290,11 @@ def element_tables(lam: np.ndarray, v: np.ndarray, h: np.ndarray) -> np.ndarray:
     table must stay conjugate-symmetric, as ``element_table`` requires."""
     t = _dagger(v) @ h @ v
     mean = np.sum(lam * np.diagonal(t, axis1=-2, axis2=-1).real, axis=-1)
-    t = t - mean[..., None, None] * np.eye(lam.shape[-1])
-    asym = np.max(np.abs(t - _dagger(t)), axis=(-2, -1))
+    # in place: the pair axis doubles every temporary here
+    t -= mean[..., None, None] * np.eye(lam.shape[-1])
+    diff = _dagger(t)
+    diff -= t
+    asym = np.max(np.abs(diff), axis=(-2, -1))
     bad = asym > ELEMENT_SYMMETRY_TOL * np.maximum(1.0, _norms(t))
     if bad.any():
         raise ValueError(f"element table lost conjugate symmetry: {asym[bad][0]:.3e}")
