@@ -423,14 +423,14 @@ def _draw_block(seed: int, dim: int, indices: np.ndarray, delta: float):
         "has_uint32": 0,
         "uinteger": 0,
     }
-    for sample, key in zip(z, _matrix_key(seed, dim, indices).tolist()):
+    for k, key in enumerate(_matrix_key(seed, dim, indices).tolist()):
         stream["key"] = key
         bitgen.state = state
-        rng.standard_normal(out=sample)
+        rng.standard_normal(out=z[k])
     g = _ginibre_from(z[:, 0::2], z[:, 1::2])
-    # each stack is freed once it is used up (the loop kept a view of z), so
-    # the pair stack's checks need no more memory than two stacks' checks did
-    del z, sample
+    # each stack is freed once it is used up, so the pair stack's checks
+    # need no more memory than the two stacks' checks did
+    del z
     rho = density_stack(_state_from(g[:, 0], delta))
     obs = _observable_from(np.swapaxes(g[:, 1:], 0, 1))
     del g
