@@ -48,6 +48,7 @@ from .linalg import (
     _real,
     density_stack,
     eigh_stack,
+    element_table,  # unused here; bench/tracing.py traces calls through this name
     element_tables,
     hermitian_eigen,
     hermitian_stack,
