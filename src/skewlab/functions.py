@@ -53,9 +53,6 @@ DEFAULT_EPS = 1e-6
 RATIO_GRID = 10_000   # grid for inf/sup of log-derivative ratios
 PAIR_GRID = 512       # grid for the pairwise sign / divided-difference checks
 _PAIR_BLOCK = 1 << 16  # grid pairs evaluated at once by the pairwise scans
-# grid pairs per row block of check_assumption: its six pair arrays stay in
-# cache at this size, where a 1 << 16 block costs it twice the time
-_ASSUMPTION_BLOCK = 1 << 14
 _PAIR_TOL = 1e-12      # slack on the pair products, ratio signs and divided differences
 _LEMMA41_SLACK = 1e-12  # relative slack on the scalar inequality's margins
 # rounding of f g h: a two-point denominator up to this times max|f g h| is noise
@@ -77,12 +74,16 @@ class ScalarFunction:
         raise NotImplementedError
 
     def log_value(self, x):
-        """log(value(x)), computed in closed form where cancellation matters."""
-        return np.log(self.value(x))
+        """log(value(x)), computed in closed form where cancellation matters.
+        A value that underflows to 0 gives -inf, without a warning."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.log(self.value(x))
 
     def log_deriv(self, x):
-        """Derivative of log(value)."""
-        return self.deriv(x) / self.value(x)
+        """Derivative of log(value). A value that underflows to 0 gives an inf
+        or a NaN, without a warning, which ``_ratio_extrema`` rejects."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self.deriv(x) / self.value(x)
 
 
 @dataclass(frozen=True)
@@ -430,16 +431,6 @@ def ratio_bounds(triple: FunctionTriple, k: int = RATIO_GRID) -> RatioBounds:
     return RatioBounds(m_g=m_g, M_g=M_g, m_h=m_h, M_h=M_h, grid_size=k)
 
 
-def _holds(ok: np.ndarray, lower: np.ndarray) -> bool:
-    """True when a row block's pair test ``ok`` holds on every pair i < j.
-
-    The block holds rows lo..hi-1 against columns lo+1..k-1; its pairs
-    j <= i are the cells of ``lower`` in the leading square, and pass.
-    """
-    ok[:, : lower.shape[0]] |= lower
-    return bool(ok.all())
-
-
 def check_assumption(triple: FunctionTriple, k_pairs: int = PAIR_GRID) -> Assumption:
     """Decide which divided-difference condition the triple satisfies.
 
@@ -450,11 +441,12 @@ def check_assumption(triple: FunctionTriple, k_pairs: int = PAIR_GRID) -> Assump
     routes two-function triples through condition II.
 
     The divided differences are ratios of log-value differences
-    log f(y) - log f(x), taken over the pairs x < y in row blocks of about
-    ``_ASSUMPTION_BLOCK`` pairs. Each block of differences is one rank-2
-    matrix product (``_PairSums``) whose entries are sums of two exact
-    products, rounded once, so they have the bits of the broadcast
-    subtraction.
+    log f(y) - log f(x). Times dF > 0, each condition is linear in the
+    differences (I says h / (f g) is nondecreasing, II that f g h is), and the
+    differences over any pair x < y are the sums of those over the
+    neighbouring grid points between them. So a condition holds on every pair
+    exactly when it holds on each neighbouring pair, and only those k - 1
+    pairs are tested, each with the tolerance on the ratio scale.
     """
     if k_pairs < 2:
         raise ValueError("pair grid needs at least 2 points")
@@ -473,28 +465,14 @@ def check_assumption(triple: FunctionTriple, k_pairs: int = PAIR_GRID) -> Assump
     fh_anti = _pair_condition(fv, hv, -1) and M_h <= _PAIR_TOL
 
     lf, lg, lh = (np.asarray(fn.log_value(grid), dtype=float) for fn in (f, g, h))
-    # the differences lv[j] - lv[i] of log values, as pair sums -lv[i] + lv[j]
-    d_lf, d_lg, d_lh = (_PairSums(-lv, lv) for lv in (lf, lg, lh))
-    # every pair i < j, a block of rows at a time, so memory stays O(k); each
-    # pair goes through the same operations as it would alone
-    cond_i, cond_ii = fh_mono, fh_anti
-    rows = max(1, _ASSUMPTION_BLOCK // k_pairs)
-    for lo in range(0, k_pairs - 1, rows):
-        hi = min(lo + rows, k_pairs - 1)
-        r, c = slice(lo, hi), slice(lo + 1, k_pairs)
-        lower = np.tri(hi - lo, k=-1, dtype=bool)
-        d_f = d_lf(r, c)
-        if not _holds(d_f > 0.0, lower):
-            raise ValueError("f is not strictly increasing on the grid")
-        with np.errstate(invalid="ignore"):  # 0/0 on the pairs j == i
-            r_g = d_lg(r, c) / d_f
-            r_h = d_lh(r, c) / d_f
-        cond_i = cond_i and _holds(1.0 + r_g <= r_h + _PAIR_TOL, lower)
-        cond_ii = cond_ii and _holds(1.0 + r_g + r_h >= -_PAIR_TOL, lower)
-
-    if cond_i:
+    d_f = np.diff(lf)
+    if not (d_f > 0.0).all():
+        raise ValueError("f is not strictly increasing on the grid")
+    r_g = np.diff(lg) / d_f
+    r_h = np.diff(lh) / d_f
+    if fh_mono and (1.0 + r_g <= r_h + _PAIR_TOL).all():
         return Assumption.I
-    if cond_ii:
+    if fh_anti and (1.0 + r_g + r_h >= -_PAIR_TOL).all():
         return Assumption.II
     return Assumption.NEITHER
 
@@ -539,9 +517,11 @@ def l_value(triple: FunctionTriple, x: float, y: float) -> float:
     """Two-point ratio (f^2 diff)(g^2 diff)(h sum)^2 / (fgh diff)^2.
 
     Returns +inf when the denominator is excluded (see ``_excluded``): zero,
-    rounding noise of f g h, or negligible against the numerator scale. The
-    diagonal x == y is rejected (0/0), and so, with DomainError, is a point
-    outside the triple's domain [eps, 1].
+    rounding noise of f g h, or negligible against the numerator scale.
+    Otherwise a zero numerator is returned as it is, sign included, as in
+    ``l_scan_min``, also where d**2 underflows to 0. The diagonal x == y is
+    rejected (0/0), and so, with DomainError, is a point outside the
+    triple's domain [eps, 1].
     """
     if x == y:
         raise ValueError("diagonal x == y is excluded")
@@ -558,6 +538,8 @@ def l_value(triple: FunctionTriple, x: float, y: float) -> float:
     d = px - py
     if _excluded(num, d, px, py):
         return math.inf
+    if num == 0.0:
+        return num
     return num / d**2
 
 
@@ -613,9 +595,11 @@ def l_scan_min(triple: FunctionTriple, k: int = 200) -> LScanResult:
     point, so an overflow never reads as a result. So must each pair's
     numerator and den^2, which can overflow where their factors do not (an
     infinite den^2 reads as a ratio of 0); blocks are checked only when
-    bounds from the grid maxima allow it. A NaN ratio, left only where den^2
-    underflows to 0 with a zero numerator, is returned as the minimum, as
-    ``np.argmin`` would; a ratio that overflows is +inf.
+    bounds from the grid maxima allow it. So a NaN ratio is left only where
+    den^2 underflows to 0 with a zero numerator. Such a pair gets the value
+    the division gives wherever den^2 does not underflow, the numerator's
+    zero, sign included; only a block whose argmin is NaN is searched for
+    them. A ratio that overflows is +inf.
 
     The pair differences f^2(x) - f^2(y), g^2(x) - g^2(y) and
     (f g h)(x) - (f g h)(y), and the sum h(x) + h(y), are each formed as one
@@ -678,14 +662,15 @@ def l_scan_min(triple: FunctionTriple, k: int = 200) -> LScanResult:
             np.divide(num, values, out=values)
         values[:, : hi - lo][below] = np.inf
         i, j = divmod(int(np.argmin(values)), values.shape[1])
-        if _excluded(num[i, j], den[i, j], prod[lo + i], prod[lo + 1 + j]):
+        nan = math.isnan(values[i, j])
+        if nan:  # 0 / 0 where den^2 underflows: a zero num over den^2 is num
+            np.copyto(values, num, where=np.isnan(values))
+        if nan or _excluded(num[i, j], den[i, j], prod[lo + i], prod[lo + 1 + j]):
             values[_excluded(num, den, prod[r, None], prod[None, c])] = np.inf
             i, j = divmod(int(np.argmin(values)), values.shape[1])
         value = float(values[i, j])
-        if value < best or math.isnan(value):
+        if value < best:
             best, arg_i, arg_j = value, lo + i, lo + 1 + j
-            if math.isnan(value):
-                break
     return LScanResult(
         min_value=best,
         arg_x=float(grid[arg_i]),
@@ -779,7 +764,8 @@ def lemma41_check(
 
     The parameters must be finite and satisfy one of the two admissible
     regimes (a, b, c >= 0 with 0 < a + b <= c, or a, b >= 0, c <= 0 with
-    a + b + c > 0), and rmax must be positive, so the default grid ascends.
+    a + b + c > 0), rmax must be positive, so the default grid ascends, and
+    steps at least 1.
     The band |r| < 1e-4 is excluded from the grid to avoid
     cancellation; the r -> 0 limit is checked separately. A margin below
     -1e-12 * max(1, rhs) counts as a violation, which absorbs float noise on
@@ -802,6 +788,8 @@ def lemma41_check(
             raise ValueError(f"{name} must be finite, got {value!r}")
     if rmax <= 0.0:
         raise ValueError(f"rmax must be positive, got {rmax!r}")
+    if steps < 1:
+        raise ValueError(f"steps must be at least 1, got {steps}")
     if not _lemma41_regime_ok(a, b, c):
         raise ValueError(
             f"parameters (a={a}, b={b}, c={c}) violate both admissible regimes"

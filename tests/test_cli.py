@@ -402,6 +402,23 @@ class TestBeta:
         assert captured.out == ""
         assert captured.err == "error: ratio grid needs at least 2 points\n"
 
+    def test_underflowing_function_exit_two_without_warnings(self):
+        # g = 5e-324 x^2 underflows to 0 on the grid; numpy printed two
+        # RuntimeWarnings from its log-derivative before the error
+        triple = json.dumps({
+            "f": {"kind": "power", "p": 1},
+            "g": {"kind": "scaled_sum", "terms": [[5e-324, 2]]},
+            "h": {"kind": "power", "p": 1},
+        })
+        src = str(Path(skewlab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-m", "skewlab", "beta", "--triple", triple],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Warning" not in proc.stderr
+        assert proc.stderr == "error: ratio undefined: non-finite log-derivative ratio\n"
+
     def test_triple_from_file(self, tmp_path, capsys):
         path = tmp_path / "triple.json"
         path.write_text(QUARTER)
@@ -446,6 +463,20 @@ class TestScanL:
         })
         assert main(["scan-l", "--triple", triple, "--grid", "50"]) == 0
         assert "no bound asserted" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("grid", ["200", "2000"])
+    def test_zero_numerator_passes(self, capsys, grid):
+        # g is constant, so every numerator is 0 and 16*beta = 0; where den^2
+        # underflowed, 0 / 0 printed min_L = nan and FAIL, with exit 1
+        triple = json.dumps({
+            "f": {"kind": "power", "p": 1},
+            "g": {"kind": "const", "c": 1},
+            "h": {"kind": "power", "p": 300},
+        })
+        assert main(["scan-l", "--triple", triple, "--grid", grid]) == 0
+        vals = parsed_values(capsys.readouterr().out)
+        assert vals["min_L"] == "-0"
+        assert vals["16*beta"] == "0"
 
     def test_coarse_grid(self, capsys):
         assert main(["scan-l", "--triple", QUARTER, "--grid", "2"]) == 0
@@ -550,6 +581,15 @@ class TestLemma41:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"error: rmax must be positive, got {float(rmax)!r}" in captured.err
+
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_steps_below_one_exit_two(self, capsys, steps):
+        # 0 blamed the |r| < 1e-4 band, and -3 showed numpy's own message
+        assert main(["lemma41", "--a", "0.5", "--b", "0.5", "--c", "1",
+                     "--steps", steps]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: steps must be at least 1, got {steps}\n"
 
 
 class TestCounterexample:

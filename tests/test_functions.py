@@ -349,6 +349,18 @@ class TestLSurface:
         res = l_scan_min(t, k=50)
         assert math.isfinite(res.min_value) or res.min_value == math.inf
 
+    @pytest.mark.parametrize("k", [200, 2000])
+    def test_scan_zero_numerator_where_den_squared_underflows(self, k):
+        # g is constant, so every numerator is a zero; den = f g h(x) - f g h(y)
+        # is a subnormal at the argmin, whose square underflows, and 0 / 0 made
+        # the scan read min_L = nan, where each ratio is that zero
+        t = FunctionTriple(Power(p=1.0), Const(c=1.0), Power(p=300.0))
+        res = l_scan_min(t, k=k)
+        assert repr(res.min_value) == "-0.0"
+        den = float(t.h.value(res.arg_x) * res.arg_x) - float(t.h.value(res.arg_y) * res.arg_y)
+        assert den != 0.0 and den**2 == 0.0
+        assert repr(l_value(t, res.arg_x, res.arg_y)) == "-0.0"
+
     def test_scan_coarse_grid(self):
         t = FunctionTriple(Power(p=0.25), Power(p=0.25), Power(p=0.5))
         res = l_scan_min(t, k=2)

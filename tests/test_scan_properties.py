@@ -54,7 +54,9 @@ def dense_l_scan_min(triple: FunctionTriple, k: int) -> LScanResult:
     bad = (np.abs(den) < 1e-14 * np.sqrt(np.abs(num))) | (den == 0.0) | (np.abs(den) <= rounding)
     np.fill_diagonal(bad, True)
     with np.errstate(divide="ignore", invalid="ignore"):
-        values = np.where(bad, np.inf, num / np.where(bad, 1.0, den) ** 2)
+        ratio = num / np.where(bad, 1.0, den) ** 2
+    # 0 / 0 where den^2 underflows: the ratio is the numerator's zero
+    values = np.where(bad, np.inf, np.where(np.isnan(ratio), num, ratio))
     i, j = divmod(int(np.argmin(values)), k)
     return LScanResult(
         min_value=float(values[i, j]),
@@ -65,7 +67,8 @@ def dense_l_scan_min(triple: FunctionTriple, k: int) -> LScanResult:
 
 
 def triu_check_assumption(triple: FunctionTriple, k_pairs: int, tol: float = 1e-12):
-    """``check_assumption`` with every grid pair i < j built at once."""
+    """``check_assumption`` with every grid pair i < j built at once, not
+    only the neighbouring ones."""
     f, g, h = triple.f, triple.g, triple.h
     grid = np.linspace(triple.eps, 1.0, k_pairs)
     fv, gv, hv = (np.asarray(fn.value(grid), dtype=float) for fn in (f, g, h))
@@ -132,8 +135,9 @@ small_grids = st.sampled_from([2, 3]) | st.integers(4, 400)
 large_grids = st.integers(2049, 2200)
 # row-block sizes: one row per block, a few rows, and the shipped size
 blocks = st.sampled_from([1, 7, 64, functions._PAIR_BLOCK])
-# check_assumption's own row-block sizes: the same, its shipped size and 1 << 16
-ASSUMPTION_BLOCKS = [1, 7, 64, functions._ASSUMPTION_BLOCK, 1 << 16]
+# row-block sizes of the pair test's fallback, the one blocked loop that
+# check_assumption runs: the same, 1 << 14 and the shipped size
+FALLBACK_BLOCKS = [1, 7, 64, 1 << 14, functions._PAIR_BLOCK]
 
 
 # ------------------------------------------------------------------ l_scan_min
@@ -307,25 +311,38 @@ def _outcome(fn, *args):
 
 
 @PROPERTY
-@given(triple=triples(), k=small_grids, block=st.sampled_from(ASSUMPTION_BLOCKS))
-def test_check_assumption_matches_triu_form(triple, k, block):
-    with patch.object(functions, "_ASSUMPTION_BLOCK", block):
-        got = _outcome(check_assumption, triple, k)
-    assert got == _outcome(triu_check_assumption, triple, k)
+@given(triple=triples(), k=small_grids)
+def test_check_assumption_matches_triu_form(triple, k):
+    assert _outcome(check_assumption, triple, k) == _outcome(triu_check_assumption, triple, k)
+
+
+# f = h = e^{a x} and a constant g: each ratio r_g is 0 and each r_h is 1, so
+# condition I holds with its whole tolerance to spare. Summing the log values
+# first, log h - log g - (1 - tol) log f, loses that slack to rounding
+# against log g = -76, and gives neither condition
+BOUNDARY_TRIPLE = FunctionTriple(
+    Exp(a=0.8520169501441419), Const(c=9.91561153496361e-34), Exp(a=0.8520169501441419)
+)
 
 
 @pytest.mark.parametrize("triple", [
     FunctionTriple(Power(p=0.25), Power(p=0.25), Power(p=0.5)),   # condition I
     FunctionTriple(Power(p=1.0), Power(p=2.0), Const(c=1.0)),     # condition II
     FunctionTriple(Power(p=1.0), Power(p=1.0), Power(p=-0.5)),
-    # condition II fails only on pairs with both points above 2/3, in late row blocks
+    # condition II fails only on pairs with both points above 2/3
     FunctionTriple(Power(p=1.0), Power(p=1.0), Exp(a=-3.0)),
+    BOUNDARY_TRIPLE,
 ])
-@pytest.mark.parametrize("block", [1, 7, functions._ASSUMPTION_BLOCK, 1 << 16])
+@pytest.mark.parametrize("block", [1, 7, 1 << 14, functions._PAIR_BLOCK])
 def test_check_assumption_matches_triu_form_on_known_triples(triple, block):
-    with patch.object(functions, "_ASSUMPTION_BLOCK", block):
+    with patch.object(functions, "_PAIR_BLOCK", block):
         got = check_assumption(triple, 600)
     assert got == triu_check_assumption(triple, 600)
+
+
+def test_check_assumption_keeps_the_tolerance_on_the_ratio_scale():
+    assert check_assumption(BOUNDARY_TRIPLE, 1000) is functions.Assumption.I
+    assert triu_check_assumption(BOUNDARY_TRIPLE, 1000) is functions.Assumption.I
 
 
 @pytest.mark.parametrize("triple", [
@@ -334,11 +351,14 @@ def test_check_assumption_matches_triu_form_on_known_triples(triple, block):
     FunctionTriple(Power(p=1.0), Power(p=1.0), Exp(a=-3.0)),      # neither
     FunctionTriple(Exp(a=1.0), Exp(a=0.5), Exp(a=2.0)),           # condition I
     FunctionTriple(Power(p=1.0), ScaledSum(((1.0, 1.0), (1.0, 2.0))), Power(p=-0.25)),
+    # g falls on [eps, 0.0063] though g(1) > g(eps), so (f, g) is decided by
+    # the pair test's fallback, which finds the falling pairs: neither
+    FunctionTriple(Power(p=1.0), ScaledSum(((2e6, 2.0), (1.0, -1.0))), Power(p=1.0)),
 ])
 @pytest.mark.parametrize("k_pairs", [2, 3, 130, 512])
-@pytest.mark.parametrize("block", ASSUMPTION_BLOCKS)
+@pytest.mark.parametrize("block", FALLBACK_BLOCKS)
 def test_check_assumption_matches_triu_form_on_grid_sizes(triple, k_pairs, block):
-    with patch.object(functions, "_ASSUMPTION_BLOCK", block):
+    with patch.object(functions, "_PAIR_BLOCK", block):
         got = _outcome(check_assumption, triple, k_pairs)
     assert got == _outcome(triu_check_assumption, triple, k_pairs)
 
