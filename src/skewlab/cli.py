@@ -108,10 +108,13 @@ def _cmd_beta(args) -> int:
 
 def _cmd_pairs(args) -> int:
     triple = triple_from_spec(_parse_json_arg(args.triple))
-    for name, fn in (("(f,g)", triple.g), ("(f,h)", triple.h)):
-        kind, m, big_m = classify_pair(triple.f, fn, k=args.grid, eps=triple.eps)
+    # everything is decided before the first print, so an error prints nothing
+    classes = [(name, *classify_pair(triple.f, fn, k=args.grid, eps=triple.eps))
+               for name, fn in (("(f,g)", triple.g), ("(f,h)", triple.h))]
+    assumption = check_assumption(triple)
+    for name, kind, m, big_m in classes:
         print(f"{name}: {kind.value} m={_fmt(m)} M={_fmt(big_m)}")
-    print(f"assumption = {check_assumption(triple).value}")
+    print(f"assumption = {assumption.value}")
     return 0
 
 
@@ -119,13 +122,14 @@ def _cmd_scan_l(args) -> int:
     triple = triple_from_spec(_parse_json_arg(args.triple))
     result = l_scan_min(triple, k=args.grid)
     assumption = check_assumption(triple)
+    if assumption is not Assumption.NEITHER:
+        bound = 16.0 * beta_coefficient(ratio_bounds(triple))
     print(f"min_L = {_fmt(result.min_value)}")
     print(f"argmin = ({_fmt(result.arg_x)}, {_fmt(result.arg_y)})")
     print(f"assumption = {assumption.value}")
     if assumption is Assumption.NEITHER:
         print("no bound asserted (triple satisfies neither condition)")
         return 0
-    bound = 16.0 * beta_coefficient(ratio_bounds(triple))
     print(f"16*beta = {_fmt(bound)}")
     if result.min_value >= bound - 1e-9:
         print("PASS: min L >= 16*beta")

@@ -75,7 +75,8 @@ class ScalarFunction:
 
     def log_value(self, x):
         """log(value(x)), computed in closed form where cancellation matters.
-        A value that underflows to 0 gives -inf, without a warning."""
+        A zero value, as of the zero constant or an underflow, gives -inf,
+        without a warning."""
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.log(self.value(x))
 
@@ -139,11 +140,6 @@ class Const(ScalarFunction):
 
     def deriv(self, x):
         return np.zeros_like(np.asarray(x, dtype=float))
-
-    def log_value(self, x):
-        if self.c == 0.0:
-            raise DomainError("log of the zero constant is undefined")
-        return np.full_like(np.asarray(x, dtype=float), math.log(self.c))
 
     def log_deriv(self, x):
         return np.zeros_like(np.asarray(x, dtype=float))
@@ -322,16 +318,15 @@ def _ratio_extrema(f: ScalarFunction, g: ScalarFunction, k: int, eps: float) -> 
     if isinstance(g, Const):
         return (0.0, 0.0)
     if isinstance(f, Power) and isinstance(g, Power):
-        r = g.p / f.p
-        return (r, r)
-    if isinstance(f, Exp) and isinstance(g, Exp):
-        r = g.a / f.a
-        return (r, r)
-    grid = np.linspace(eps, 1.0, k)
-    ld_f = np.asarray(f.log_deriv(grid), dtype=float)
-    if float(np.min(np.abs(ld_f))) < 1e-30:
-        raise ValueError("ratio undefined: log-derivative of f vanishes on the grid")
-    ratio = np.asarray(g.log_deriv(grid), dtype=float) / ld_f
+        ratio = np.array([g.p / f.p])
+    elif isinstance(f, Exp) and isinstance(g, Exp):
+        ratio = np.array([g.a / f.a])
+    else:
+        grid = np.linspace(eps, 1.0, k)
+        ld_f = np.asarray(f.log_deriv(grid), dtype=float)
+        if float(np.min(np.abs(ld_f))) < 1e-30:
+            raise ValueError("ratio undefined: log-derivative of f vanishes on the grid")
+        ratio = np.asarray(g.log_deriv(grid), dtype=float) / ld_f
     if not np.all(np.isfinite(ratio)):
         raise ValueError("ratio undefined: non-finite log-derivative ratio")
     return (float(ratio.min()), float(ratio.max()))
@@ -468,8 +463,9 @@ def check_assumption(triple: FunctionTriple, k_pairs: int = PAIR_GRID) -> Assump
     d_f = np.diff(lf)
     if not (d_f > 0.0).all():
         raise ValueError("f is not strictly increasing on the grid")
-    r_g = np.diff(lg) / d_f
-    r_h = np.diff(lh) / d_f
+    with np.errstate(invalid="ignore"):  # a zero g or h: -inf - -inf is NaN, so neither
+        r_g = np.diff(lg) / d_f
+        r_h = np.diff(lh) / d_f
     if fh_mono and (1.0 + r_g <= r_h + _PAIR_TOL).all():
         return Assumption.I
     if fh_anti and (1.0 + r_g + r_h >= -_PAIR_TOL).all():

@@ -31,10 +31,9 @@ from .functions import (
     Assumption,
     Const,
     FunctionTriple,
-    PairClass,
     beta_coefficient,
     check_assumption,
-    classify_pair,
+    classify_pair,  # unused here; bench/tracing.py traces calls through this name
     function_from_spec,
     function_to_spec,
     ratio_bounds,
@@ -498,30 +497,15 @@ class _TriplePlan:
     beta: float
 
 
-def _triple_premise(triple: FunctionTriple) -> Assumption:
-    assumption = check_assumption(triple)
-    if assumption is Assumption.NEITHER:
-        raise ConfigError(
-            "THM31_FGH requires the triple to satisfy one of the two "
-            "divided-difference conditions; this one satisfies neither"
-        )
-    return assumption
-
-
-def _pair_premise(triple: FunctionTriple) -> Assumption:
-    assumption = check_assumption(triple)
-    kind, _, _ = classify_pair(triple.f, triple.g, eps=triple.eps)
-    if kind is not PairClass.MONOTONE:
-        raise ConfigError("COR41_PAIR requires (f, g) to be a monotone pair")
-    return assumption
-
-
 def _plan(setting: InequalitySetting) -> _TriplePlan | None:
     premise = INEQUALITIES[setting.id].premise
     if premise is None:
         return None
     triple = setting.triple
-    return _TriplePlan(triple, premise(triple), beta_coefficient(ratio_bounds(triple)))
+    assumption = check_assumption(triple)
+    if assumption is Assumption.NEITHER:
+        raise ConfigError(premise)
+    return _TriplePlan(triple, assumption, beta_coefficient(ratio_bounds(triple)))
 
 
 def _draws_params(setting: InequalitySetting) -> bool:
@@ -743,7 +727,7 @@ class Inequality:
     check: Callable | None = None      # params -> None, or raises ConfigError
     keys: tuple[str, ...] = ()         # entry keys besides id, assert_pass and params
     functions: str | None = None       # "triple", "pair", or None for no functions
-    premise: Callable | None = None    # triple -> its Assumption, or raises ConfigError
+    premise: str | None = None         # raised when check_assumption finds neither condition
     expect_pass: bool = True           # False: the bound fails by design
 
 
@@ -754,10 +738,14 @@ INEQUALITIES: dict[InequalityId, Inequality] = {
     InequalityId.THM21_WYD: Inequality(_thm21, _ALPHA, _draw_unit_alpha, _check_unit_alpha),
     InequalityId.THM22_GWYD: Inequality(_thm22, _PAIR, _draw_thm22, _check_thm22, ("regime",)),
     InequalityId.THM23_TILDE: Inequality(_thm23, _PAIR, _draw_thm23, _check_thm23),
-    InequalityId.THM31_FGH: Inequality(_fgh, keys=("triple",), functions="triple",
-                                       premise=_triple_premise),
-    InequalityId.COR41_PAIR: Inequality(_fgh, keys=("f", "g", "eps"), functions="pair",
-                                        premise=_pair_premise),
+    InequalityId.THM31_FGH: Inequality(
+        _fgh, keys=("triple",), functions="triple",
+        premise="THM31_FGH requires the triple to satisfy one of the two "
+                "divided-difference conditions; this one satisfies neither"),
+    # the triple (f, g, 1): condition II holds exactly when (f, g) is monotone
+    InequalityId.COR41_PAIR: Inequality(
+        _fgh, keys=("f", "g", "eps"), functions="pair",
+        premise="COR41_PAIR requires (f, g) to be a monotone pair"),
     InequalityId.CHAIN_24: Inequality(_chain24),
     InequalityId.CHAIN_25: Inequality(_chain25, _ALPHA, _draw_unit_alpha, _check_unit_alpha),
     InequalityId.CHAIN_27: Inequality(_chain27, _ALPHA, _draw_unit_alpha, _check_unit_alpha),

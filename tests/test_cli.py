@@ -7,12 +7,15 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
 import skewlab
+from skewlab import cli
 from skewlab.cli import load_default_config, main
+from skewlab.functions import LScanResult
 
 QUARTER = json.dumps({
     "f": {"kind": "power", "p": 0.25},
@@ -222,6 +225,11 @@ class TestVerify:
         ({"inequalities": [{"id": "THM22_GWYD", "alpha": 0.3, "beta": "0.2"}]},
          "bad THM22_GWYD entry: beta must be a number, got '0.2'"),
         ({"slack": -1e-9}, "slack must be nonnegative"),
+        ({"samples_per_dim": 0}, "samples_per_dim must be >= 1"),
+        ({"dims": []}, "dims must be a nonempty list of integers >= 2"),
+        ({"inequalities": {"id": "LUO_23"}}, "'inequalities' must be a list"),
+        ({"inequalities": [{"id": "LUO_23"}] * 257},
+         "at most 256 inequality entries are supported"),
     ])
     def test_malformed_number_exit_two(self, tmp_path, capsys, change, message):
         doc = dict(small_config_doc(), **change)
@@ -229,6 +237,18 @@ class TestVerify:
         captured = capsys.readouterr()
         assert "PASS" not in captured.out and "VIOLATED" not in captured.out
         assert message in captured.err
+
+    @pytest.mark.parametrize("doc, message", [
+        ([], "config must be a JSON object"),
+        ({"seed": 1}, "config misses required keys: ['dims', 'samples_per_dim', 'inequalities']"),
+    ])
+    def test_malformed_config_exit_two(self, tmp_path, capsys, doc, message):
+        out_path = tmp_path / "report.json"
+        assert main(["verify", write_config(tmp_path, doc), "--out", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not out_path.exists()
 
     @pytest.mark.parametrize("entry, message", [
         ({"id": "COR41_PAIR", "f": {"kind": "power", "p": 0.5},
@@ -253,6 +273,11 @@ class TestVerify:
         ({"id": "THM31_FGH", "triple": dict(json.loads(QUARTER),
                                             h={"kind": "power", "p": math.inf})},
          "bad THM31_FGH entry: p must be finite, got inf"),
+        ({"id": "THM31_FGH", "triple": []},
+         "bad THM31_FGH entry: triple spec must be a JSON object"),
+        ({"id": "THM31_FGH", "triple": {"f": {"kind": "power", "p": 1},
+                                        "g": {"kind": "power", "p": 1}}},
+         "bad THM31_FGH entry: triple spec misses field 'h'"),
     ])
     def test_non_number_in_function_entry_exit_two(self, tmp_path, capsys, entry, message):
         doc = dict(small_config_doc(), inequalities=[entry])
@@ -277,6 +302,28 @@ class TestVerify:
         assert captured.out == ""
         assert (f"bad {entry['id']} entry: a function spec takes no 'eps': eps is set once"
                 in captured.err)
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("entry", [
+        {"id": "THM31_FGH", "triple": {"f": {"kind": "power", "p": 1},
+                                       "g": {"kind": "power", "p": 1},
+                                       "h": {"kind": "const", "c": 0}}},
+        {"id": "COR41_PAIR", "f": {"kind": "power", "p": 1}, "g": {"kind": "const", "c": 0}},
+    ])
+    def test_zero_constant_fails_its_premise(self, tmp_path, capsys, entry):
+        # the log of a zero constant is -inf, which meets neither condition;
+        # it raised "log of the zero constant is undefined", naming no entry
+        messages = {
+            "THM31_FGH": "THM31_FGH requires the triple to satisfy one of the two "
+                         "divided-difference conditions; this one satisfies neither",
+            "COR41_PAIR": "COR41_PAIR requires (f, g) to be a monotone pair",
+        }
+        doc = dict(small_config_doc(), inequalities=[entry])
+        out_path = tmp_path / "report.json"
+        assert main(["verify", write_config(tmp_path, doc), "--out", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {messages[entry['id']]}\n"
         assert not out_path.exists()
 
     def test_missing_file_exit_two(self):
@@ -359,6 +406,13 @@ class TestBeta:
         ({"g": {"kind": "scaled_sum", "terms": [[1.0, math.nan]]}},
          "scaled_sum exponent must be finite, got nan"),
         ({"eps": math.inf}, "eps must be finite, got inf"),
+        ({"g": "x"}, "function spec must be an object with a 'kind': 'x'"),
+        ({"g": {"kind": "scaled_sum", "terms": []}}, "scaled sum needs at least one term"),
+        ({"g": {"kind": "scaled_sum", "terms": [[0.0, 1.0], [0.0, 2.0]]}},
+         "scaled sum must have a positive coefficient"),
+        ({"f": {"kind": "const", "c": 0.0}}, "f must be strictly positive on [eps, 1]"),
+        ({"f": {"kind": "exp", "a": 1e-31}},
+         "ratio undefined: log-derivative of f vanishes on the grid"),
     ])
     def test_non_number_in_spec_exit_two(self, capsys, change, message):
         doc = dict(json.loads(QUARTER), **change)
@@ -367,6 +421,43 @@ class TestBeta:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert message in captured.err
+
+    @pytest.mark.parametrize("spec, commands, message", [
+        # g.p / f.p overflows to inf; pairs printed m=inf M=inf and assumption
+        # I, with exit 0, and scan-l printed three lines before its exit 2
+        ({"f": {"kind": "power", "p": 1e-309}, "g": {"kind": "power", "p": 0.25},
+          "h": {"kind": "power", "p": 0.5}},
+         ("beta", "pairs", "scan-l"), "ratio undefined: non-finite log-derivative ratio"),
+        ({"f": {"kind": "exp", "a": 1e-309}, "g": {"kind": "exp", "a": 0.25},
+          "h": {"kind": "exp", "a": 0.5}},
+         ("beta", "pairs", "scan-l"), "ratio undefined: non-finite log-derivative ratio"),
+        # f's log values tie on the grid; pairs printed both classes first
+        ({"f": {"kind": "scaled_sum", "terms": [[1.0, 0.0], [1e-17, 1.0]]},
+          "g": {"kind": "power", "p": 0.25}, "h": {"kind": "power", "p": 0.5}},
+         ("beta", "pairs", "scan-l"), "f is not strictly increasing on the grid"),
+        # 1 + m_g + m_h = 0; scan-l printed min_L, argmin and the assumption
+        # first. pairs computes no beta and exits 0 on this triple
+        ({"f": {"kind": "power", "p": 1.0}, "g": {"kind": "const", "c": 1.0},
+          "h": {"kind": "power", "p": -1.0}},
+         ("beta", "scan-l"), "degenerate denominator: 1 + 0.0 + -1.0 vanishes"),
+    ], ids=["power-ratio-overflow", "exp-ratio-overflow", "tied-f", "degenerate-beta"])
+    def test_failing_triple_prints_nothing(self, capsys, spec, commands, message):
+        for command in commands:
+            assert main([command, "--triple", json.dumps(spec)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["beta", "pairs", "scan-l"])
+    def test_zero_constant_h_meets_neither_condition(self, capsys, command):
+        # it exited 2 with "log of the zero constant is undefined"; a numpy
+        # warning would fail this test, as pytest turns warnings into errors
+        triple = json.dumps({"f": {"kind": "power", "p": 1}, "g": {"kind": "power", "p": 1},
+                             "h": {"kind": "const", "c": 0}})
+        assert main([command, "--triple", triple]) == 0
+        captured = capsys.readouterr()
+        assert parsed_values(captured.out)["assumption"] == "neither"
+        assert "error" not in captured.err
 
     @pytest.mark.parametrize("name", ["f", "g", "h"])
     def test_function_level_eps_exit_two(self, capsys, name):
@@ -478,6 +569,16 @@ class TestScanL:
         assert vals["min_L"] == "-0"
         assert vals["16*beta"] == "0"
 
+    def test_min_below_bound_fails(self, capsys):
+        # 16*beta = 1 for QUARTER; a minimum just below it must read FAIL
+        low = LScanResult(min_value=0.5, arg_x=0.25, arg_y=0.75, grid_size=200)
+        with patch.object(cli, "l_scan_min", return_value=low):
+            assert main(["scan-l", "--triple", QUARTER]) == 1
+        out = capsys.readouterr().out
+        assert parsed_values(out)["min_L"] == "0.5"
+        assert parsed_values(out)["16*beta"] == "1"
+        assert out.endswith("FAIL: min L < 16*beta\n")
+
     def test_coarse_grid(self, capsys):
         assert main(["scan-l", "--triple", QUARTER, "--grid", "2"]) == 0
 
@@ -582,6 +683,13 @@ class TestLemma41:
         assert captured.out == ""
         assert f"error: rmax must be positive, got {float(rmax)!r}" in captured.err
 
+    def test_empty_r_grid_exit_two(self, capsys):
+        # every point of the default grid lies in the excluded |r| < 1e-4 band
+        assert main(["lemma41", "--a", "1", "--b", "1", "--c", "2", "--rmax", "5e-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: r grid is empty after excluding the |r| < 1e-4 band\n"
+
     @pytest.mark.parametrize("steps", ["0", "-3"])
     def test_steps_below_one_exit_two(self, capsys, steps):
         # 0 blamed the |r| < 1e-4 band, and -3 showed numpy's own message
@@ -648,6 +756,12 @@ class TestCounterexample:
          "unknown keys for THM21_WYD: ['gamma']"),
         (["--entry", '{"alpha": 0.3}'], "must be an object with an 'id'"),
         (["--entry", '{"id": "THM21_WYD", "alpha": "0.5"}'], "alpha must be a number, got '0.5'"),
+        (["--entry", '"x"'], "inequality entry must be an object with an 'id': 'x'"),
+        (["--entry", '{"id": "LUO_23", "assert_pass": 1}'], "assert_pass must be a boolean"),
+        (["--entry", '{"id": "THM22_GWYD", "regime": "mid"}'],
+         "bad THM22_GWYD entry: unknown regime 'mid'"),
+        (["--entry", '{"id": "THM22_GWYD", "alpha": -0.1, "beta": 0.2}'],
+         "bad THM22_GWYD entry: THM22 exponents must be nonnegative: (-0.1, 0.2)"),
     ])
     def test_bad_entry_exit_two(self, capsys, argv, message):
         assert main(["counterexample", "--budget", "5", *argv]) == 2

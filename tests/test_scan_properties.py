@@ -15,18 +15,22 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from skewlab import functions
+from skewlab import functions, harness
 from skewlab.functions import (
     Const,
     Exp,
     FunctionTriple,
     LScanResult,
+    PairClass,
     Power,
     ScaledSum,
+    beta_coefficient,
     check_assumption,
     classify_pair,
     l_scan_min,
+    ratio_bounds,
 )
+from skewlab.harness import ConfigError, InequalityId, InequalitySetting
 
 PROPERTY = settings(
     max_examples=60,
@@ -83,8 +87,9 @@ def triu_check_assumption(triple: FunctionTriple, k_pairs: int, tol: float = 1e-
     d_f = lf[j] - lf[i]
     if np.any(d_f <= 0.0):
         raise ValueError("f is not strictly increasing on the grid")
-    r_g = (lg[j] - lg[i]) / d_f
-    r_h = (lh[j] - lh[i]) / d_f
+    with np.errstate(invalid="ignore"):  # a zero g or h: -inf - -inf is NaN, so neither
+        r_g = (lg[j] - lg[i]) / d_f
+        r_h = (lh[j] - lh[i]) / d_f
     if fh_mono and bool(np.all(1.0 + r_g <= r_h + tol)):
         return functions.Assumption.I
     if fh_anti and bool(np.all(1.0 + r_g + r_h >= -tol)):
@@ -314,6 +319,44 @@ def _outcome(fn, *args):
 @given(triple=triples(), k=small_grids)
 def test_check_assumption_matches_triu_form(triple, k):
     assert _outcome(check_assumption, triple, k) == _outcome(triu_check_assumption, triple, k)
+
+
+def two_step_pair_plan(triple: FunctionTriple):
+    """COR41_PAIR's plan with its premise checked twice: ``check_assumption``
+    on (f, g, 1), then (f, g) classified on its own grid as a monotone pair."""
+    assumption = check_assumption(triple)
+    kind, _, _ = classify_pair(triple.f, triple.g, eps=triple.eps)
+    if kind is not PairClass.MONOTONE:
+        raise ConfigError("COR41_PAIR requires (f, g) to be a monotone pair")
+    return assumption, beta_coefficient(ratio_bounds(triple))
+
+
+def pair_plan(triple: FunctionTriple):
+    plan = harness._plan(InequalitySetting(InequalityId.COR41_PAIR, triple=triple))
+    return plan.assumption, plan.beta
+
+
+# a zero-constant g is left out: its log is -inf, which check_assumption reads
+# as neither condition and the classification as a monotone pair
+@settings(PROPERTY, max_examples=300)
+@given(f=catalog_function(increasing=True),
+       g=catalog_function().filter(lambda g: g != Const(c=0.0)),
+       eps=st.floats(1e-6, 1e-2))
+def test_pair_premise_is_check_assumption_at_h_one(f, g, eps):
+    triple = FunctionTriple(f, g, Const(c=1.0), eps)
+    assert _outcome(pair_plan, triple) == _outcome(two_step_pair_plan, triple)
+
+
+@pytest.mark.parametrize("g, h", [
+    (Power(p=1.0), Const(c=0.0)),
+    (Const(c=0.0), Power(p=1.0)),
+    (Const(c=0.0), Const(c=1.0)),
+    (Const(c=0.0), Const(c=0.0)),
+])
+def test_zero_constant_meets_neither_condition(g, h):
+    triple = FunctionTriple(Power(p=1.0), g, h)
+    assert check_assumption(triple) is functions.Assumption.NEITHER
+    assert triu_check_assumption(triple, 50) is functions.Assumption.NEITHER
 
 
 # f = h = e^{a x} and a constant g: each ratio r_g is 0 and each r_h is 1, so
