@@ -234,6 +234,13 @@ def function_to_spec(fn: ScalarFunction) -> dict:
     raise TypeError(f"cannot serialize {type(fn).__name__}")
 
 
+def _check_eps(eps: float) -> None:
+    """The domain floor eps must lie in (0, 1), so [eps, 1] is a proper
+    interval of positive eigenvalues."""
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must lie in (0, 1), got {eps!r}")
+
+
 @dataclass(frozen=True)
 class FunctionTriple:
     """Triple (f, g, h) on the one domain [eps, 1]; f must be strictly
@@ -245,6 +252,7 @@ class FunctionTriple:
     eps: float = DEFAULT_EPS
 
     def __post_init__(self):
+        _check_eps(self.eps)
         grid = np.linspace(self.eps, 1.0, PAIR_GRID)
         if np.any(np.asarray(self.f.value(grid)) <= 0.0):
             raise ValueError("f must be strictly positive on [eps, 1]")
@@ -407,6 +415,7 @@ def classify_pair(
     """
     if k < 2:
         raise ValueError("classification grid needs at least 2 points")
+    _check_eps(eps)
     m, big_m = _ratio_extrema(f, g, k, eps)
     grid = np.linspace(eps, 1.0, k)
     fv = np.asarray(f.value(grid), dtype=float)
@@ -687,13 +696,20 @@ def lemma41_lhs(a: float, b: float, c: float, r):
     At a + b + c = 0 the denominator vanishes for every r, and that case
     raises ValueError.
 
+    The expression is even in r: multiplying the top and bottom of its
+    value at -r by e^{2(a+b+c)r} gives its value at r. So it is evaluated
+    at t = -|r|, where in the first regime (c >= a + b > 0) no exponential
+    grows, and lhs(r) and lhs(-r) have the same bits. In the second regime
+    (c <= 0), (e^{ct}+1)^2 overflows once |c| |r| > 354.9, where the value
+    itself exceeds the float range unless a or b is 0 (then it reads
+    0 * inf = NaN); that inf or NaN is not reported here, and
+    ``lemma41_check`` refuses it.
+
     Takes a scalar r, which runs as a one-element array and returns a float,
     or an array of any shape, which returns a new array of that shape. The
     work is done in two buffers of r's size, written with ``out=`` ufuncs
-    in the order of the whole-array expression, so every array result has
-    the same bits as that expression. Overflow is not reported here: where
-    the exponentials overflow the value can be inf or NaN, which the caller
-    must check for, as ``lemma41_check`` does.
+    in the order of the whole-array expression at -|r|, so every array
+    result has the same bits as that expression.
     """
     if a + b + c == 0:
         raise ValueError(f"lemma41_lhs is undefined at a + b + c = 0 (a={a}, b={b}, c={c})")
@@ -703,24 +719,17 @@ def lemma41_lhs(a: float, b: float, c: float, r):
     limit = 16.0 * a * b / (a + b + c) ** 2
     out, tmp = np.empty(r_arr.shape), np.empty(r_arr.shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        np.expm1(np.multiply(2.0 * a, r_arr, out=out), out=out)
-        out *= np.expm1(np.multiply(2.0 * b, r_arr, out=tmp), out=tmp)
-        np.exp(np.multiply(c, r_arr, out=tmp), out=tmp)
+        np.expm1(np.multiply(-2.0 * a, np.abs(r_arr, out=out), out=out), out=out)
+        out *= np.expm1(np.multiply(-2.0 * b, np.abs(r_arr, out=tmp), out=tmp), out=tmp)
+        np.exp(np.multiply(-c, np.abs(r_arr, out=tmp), out=tmp), out=tmp)
         tmp += 1.0
         out *= np.square(tmp, out=tmp)
-        np.expm1(np.multiply(a + b + c, r_arr, out=tmp), out=tmp)
+        np.expm1(np.multiply(-(a + b + c), np.abs(r_arr, out=tmp), out=tmp), out=tmp)
         np.square(tmp, out=tmp)
         tmp[tmp == 0.0] = 1.0
         out /= tmp
     out[r_arr == 0.0] = limit
     return float(out[0]) if scalar else out
-
-
-def _lemma41_den_sq(s: float, r: np.ndarray) -> np.ndarray:
-    """``lemma41_lhs``'s squared denominator expm1(s r)^2 at each r, by the
-    same operations, so it is infinite exactly where that one is."""
-    with np.errstate(over="ignore"):
-        return np.square(np.expm1(np.multiply(s, r)))
 
 
 @dataclass(frozen=True)
@@ -760,19 +769,16 @@ def lemma41_check(
 
     The parameters must be finite and satisfy one of the two admissible
     regimes (a, b, c >= 0 with 0 < a + b <= c, or a, b >= 0, c <= 0 with
-    a + b + c > 0), rmax must be positive, so the default grid ascends, and
-    steps at least 1.
+    a + b + c > 0), rmax must be positive and steps at least 1.
     The band |r| < 1e-4 is excluded from the grid to avoid
     cancellation; the r -> 0 limit is checked separately. A margin below
     -1e-12 * max(1, rhs) counts as a violation, which absorbs float noise on
     the equality family (a == b with c == a + b makes the margin identically
-    zero). An lhs that is not finite, where its exponentials overflow, raises
-    ValueError naming the first such r, so that no NaN margin reads as a pass.
-    So does a finite lhs whose squared denominator ``expm1((a+b+c) r)^2`` is
-    infinite, where the lhs reads 0 and its margin a false violation. As
-    a + b + c > 0, that square grows with r, so only a grid whose largest r
-    overflows it is searched for the first such r. An rhs that overflows
-    raises OverflowError naming a, b and c.
+    zero). ``lemma41_lhs`` evaluates at -|r|, so in the first regime every
+    margin is finite at any rmax. In the second, the lhs exceeds the float
+    range once |c| |r| > 354.9; an lhs that is not finite raises ValueError
+    naming the first such r, so that no inf margin reads as a pass. An rhs
+    that overflows raises OverflowError naming a, b and c.
 
     The default grid (``steps`` points on [-rmax, rmax]) is built once and
     shared, read-only, by every report of the same (rmax, steps); a grid
@@ -800,11 +806,9 @@ def lemma41_check(
         )
     if r_grid is None:
         r_grid = _default_r_grid(rmax, steps)
-        top = r_grid[-1:]   # the grid ascends
     else:
         r_grid = np.asarray(r_grid, dtype=float)
         r_grid = r_grid[np.abs(r_grid) >= 1e-4]
-        top = r_grid.max(initial=-np.inf, keepdims=True)
     if r_grid.size == 0:
         raise ValueError("r grid is empty after excluding the |r| < 1e-4 band")
     margins = lemma41_lhs(a, b, c, r_grid)
@@ -814,12 +818,6 @@ def lemma41_check(
         raise ValueError(
             f"lemma41 lhs is not finite at r = {bad!r} (a={a}, b={b}, c={c}): "
             "its exponentials overflow there, so choose a smaller rmax"
-        )
-    if np.isinf(_lemma41_den_sq(a + b + c, top)[0]):
-        bad = float(r_grid[np.argmax(np.isinf(_lemma41_den_sq(a + b + c, r_grid)))])
-        raise ValueError(
-            f"lemma41 denominator expm1((a+b+c) r)^2 overflows at r = {bad!r} "
-            f"(a={a}, b={b}, c={c}): the lhs reads 0 there, so choose a smaller rmax"
         )
     margins -= rhs
     worst = int(np.argmin(margins))

@@ -157,6 +157,9 @@ class InequalitySetting:
                 f"fixed {name} parameters need scalar alpha and beta, set together"
             )
         if drawn == {False}:
+            if self.regime is not None:
+                # a tag restricts only where a drawn pair is drawn
+                raise ConfigError(f"{name} takes no regime tag with a fixed alpha and beta")
             record.check(dict(zip(record.params, (np.asarray(v) for v in fixed))))
 
     @property
@@ -1131,7 +1134,12 @@ def run_campaign(config: CampaignConfig, threads: int = 1) -> CampaignReport:
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     t_start = time.perf_counter()
-    plans = [_plan(s) for s in config.inequalities]
+    plans = []
+    for k, setting in enumerate(config.inequalities):
+        try:
+            plans.append(_plan(setting))
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"inequalities[{k}] ({setting.id.value}): {exc}") from exc
 
     tasks = _blocks(config)
     blocks = list(_pool_map(_worker_entry, [(config, plans, *task) for task in tasks], threads))

@@ -278,6 +278,17 @@ class TestVerify:
         ({"id": "THM31_FGH", "triple": {"f": {"kind": "power", "p": 1},
                                         "g": {"kind": "power", "p": 1}}},
          "bad THM31_FGH entry: triple spec misses field 'h'"),
+        # eps -1 and 0 ran on a domain outside (0, 1]; 1 and 2 blamed f's growth
+        *[({"id": "THM31_FGH", "triple": dict(json.loads(QUARTER), eps=eps)},
+           f"bad THM31_FGH entry: eps must lie in (0, 1), got {float(eps)!r}")
+          for eps in (-1, 0, 1, 2)],
+        *[({"id": "COR41_PAIR", "f": {"kind": "power", "p": 0.5},
+            "g": {"kind": "power", "p": 0.25}, "eps": eps},
+           f"bad COR41_PAIR entry: eps must lie in (0, 1), got {float(eps)!r}")
+          for eps in (-1, 0, 1, 2)],
+        # the tag was ignored, and the report carried it beside a low-regime pair
+        ({"id": "THM22_GWYD", "alpha": 0.1, "beta": 0.2, "regime": "high"},
+         "bad THM22_GWYD entry: THM22_GWYD takes no regime tag with a fixed alpha and beta"),
     ])
     def test_non_number_in_function_entry_exit_two(self, tmp_path, capsys, entry, message):
         doc = dict(small_config_doc(), inequalities=[entry])
@@ -323,8 +334,29 @@ class TestVerify:
         assert main(["verify", write_config(tmp_path, doc), "--out", str(out_path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {messages[entry['id']]}\n"
+        assert captured.err == f"error: inequalities[0] ({entry['id']}): {messages[entry['id']]}\n"
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("triple, message", [
+        ({"f": {"kind": "power", "p": 1.0}, "g": {"kind": "const", "c": 1.0},
+          "h": {"kind": "power", "p": -1.0}},
+         "degenerate denominator: 1 + 0.0 + -1.0 vanishes"),
+        ({"f": {"kind": "scaled_sum", "terms": [[1.0, 0.0], [1e-17, 1.0]]},
+          "g": {"kind": "power", "p": 0.25}, "h": {"kind": "power", "p": 0.5}},
+         "f is not strictly increasing on the grid"),
+        ({"f": {"kind": "power", "p": 1e-309}, "g": {"kind": "power", "p": 0.25},
+          "h": {"kind": "power", "p": 0.5}},
+         "ratio undefined: non-finite log-derivative ratio"),
+    ], ids=["degenerate-beta", "tied-f", "ratio-overflow"])
+    def test_planning_error_names_its_entry(self, tmp_path, capsys, triple, message):
+        # the message named no entry, so two THM31_FGH entries could not be told apart
+        entries = [{"id": "THM31_FGH", "triple": json.loads(QUARTER)},
+                   {"id": "THM31_FGH", "triple": triple}]
+        doc = dict(small_config_doc(), inequalities=entries)
+        assert main(["verify", write_config(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: inequalities[1] (THM31_FGH): {message}\n"
 
     def test_missing_file_exit_two(self):
         assert main(["verify", "/nonexistent/config.json"]) == 2
@@ -413,6 +445,11 @@ class TestBeta:
         ({"f": {"kind": "const", "c": 0.0}}, "f must be strictly positive on [eps, 1]"),
         ({"f": {"kind": "exp", "a": 1e-31}},
          "ratio undefined: log-derivative of f vanishes on the grid"),
+        # -1 and 0 passed, with an argmin outside (0, 1]; 1 and 2 blamed f's growth
+        ({"eps": -1}, "eps must lie in (0, 1), got -1.0"),
+        ({"eps": 0}, "eps must lie in (0, 1), got 0.0"),
+        ({"eps": 1}, "eps must lie in (0, 1), got 1.0"),
+        ({"eps": 2}, "eps must lie in (0, 1), got 2.0"),
     ])
     def test_non_number_in_spec_exit_two(self, capsys, change, message):
         doc = dict(json.loads(QUARTER), **change)
@@ -638,12 +675,20 @@ class TestLemma41:
         assert "regime" in capsys.readouterr().err
 
     def test_overflowing_lhs_exit_two(self, capsys):
-        # e^{4r} overflows from r = 177.45 on, which made NaN margins and exit 0
+        # e^{4r} overflowed from r = 177.45 on, which made NaN margins and
+        # exit 0; evaluated at -|r|, the first regime is checked at any rmax
         assert main(["lemma41", "--a", "0.5", "--b", "0.5", "--c", "1",
+                     "--rmax", "1000", "--steps", "7"]) == 0
+        assert "violations = 0" in capsys.readouterr().out
+        # the second regime's lhs exceeds the float range once |c| |r| > 354.9
+        assert main(["lemma41", "--a", "1", "--b", "1", "--c", "-1.5",
                      "--rmax", "1000", "--steps", "7"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "not finite at r = 333.33333333333326" in captured.err
+        assert captured.err == (
+            "error: lemma41 lhs is not finite at r = -1000.0 (a=1.0, b=1.0, c=-1.5): "
+            "its exponentials overflow there, so choose a smaller rmax\n"
+        )
 
     @pytest.mark.parametrize("args, name", [
         (["--a", "0.5", "--b", "0.5", "--c", "inf"], "c"),
@@ -666,17 +711,17 @@ class TestLemma41:
         )
 
     def test_overflowing_denominator_exit_two(self, capsys):
-        # the lhs read 0 where expm1((a+b+c) r)^2 overflows: 21 false violations
+        # the lhs read 0 where expm1((a+b+c) r)^2 overflowed: 21 false
+        # violations; at -|r| that square lies below 1 and the grid passes
         assert main(["lemma41", "--a", "1e-12", "--b", "1", "--c", "1.5",
-                     "--rmax", "145"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "overflows at r = 142.09854927463732 " in captured.err
+                     "--rmax", "145"]) == 0
+        out = capsys.readouterr().out
+        assert "\n142.09854927463732,2.8419709850889064e-10," in out
+        assert out.endswith("violations = 0\n")
 
     @pytest.mark.parametrize("rmax", ["-145", "0"])
     def test_non_positive_rmax_exit_two(self, capsys, rmax):
-        # a negative rmax made the default grid descend, which hid the overflow
-        # above and reported its 21 false violations with exit 1
+        # the default grid is [-rmax, rmax], which needs a positive rmax
         assert main(["lemma41", "--a", "1e-12", "--b", "1", "--c", "1.5",
                      "--rmax", rmax]) == 2
         captured = capsys.readouterr()
@@ -762,6 +807,8 @@ class TestCounterexample:
          "bad THM22_GWYD entry: unknown regime 'mid'"),
         (["--entry", '{"id": "THM22_GWYD", "alpha": -0.1, "beta": 0.2}'],
          "bad THM22_GWYD entry: THM22 exponents must be nonnegative: (-0.1, 0.2)"),
+        (["--entry", '{"id": "THM22_GWYD", "alpha": 0.1, "beta": 0.2, "regime": "high"}'],
+         "bad THM22_GWYD entry: THM22_GWYD takes no regime tag with a fixed alpha and beta"),
     ])
     def test_bad_entry_exit_two(self, capsys, argv, message):
         assert main(["counterexample", "--budget", "5", *argv]) == 2

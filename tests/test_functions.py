@@ -185,6 +185,16 @@ class TestClassifyPair:
         assert (m, big_m) == (0.0, 0.0)
         assert kind is PairClass.MONOTONE
 
+    @pytest.mark.parametrize("eps", [-1.0, 0.0, 1.0, 2.0, math.nan])
+    def test_eps_outside_the_unit_interval_is_error(self, eps):
+        # the grid ran on [eps, 1] for any eps, from a negative floor up past 1
+        with pytest.raises(ValueError) as err:
+            classify_pair(Power(p=0.5), Power(p=0.25), eps=eps)
+        assert str(err.value) == f"eps must lie in (0, 1), got {eps!r}"
+        with pytest.raises(ValueError) as err:
+            FunctionTriple(Power(p=0.5), Power(p=0.25), Power(p=0.5), eps=eps)
+        assert str(err.value) == f"eps must lie in (0, 1), got {eps!r}"
+
 
 class TestBetaCoefficient:
     def test_power_triple_quarter(self):
@@ -439,25 +449,34 @@ class TestLemma41:
         assert np.all(np.abs(rep.r_grid) >= 1e-4)
 
     def test_overflow_is_an_error_not_a_pass(self):
-        # e^{4r} overflows past r = 177.45, and inf / inf gave NaN margins
-        # that counted as no violation
-        with pytest.raises(ValueError, match=r"not finite at r = 178\.089044522261"):
-            lemma41_check(0.5, 0.5, 1.0, rmax=800)
-        # the second regime overflows on the negative side, where e^{cr} grows
-        with pytest.raises(ValueError, match=r"not finite at r = -"):
+        # e^{4r} overflowed past r = 177.45, and inf / inf gave NaN margins
+        # that counted as no violation; at -|r| the first regime cannot overflow
+        rep = lemma41_check(0.5, 0.5, 1.0, rmax=800)
+        assert np.isfinite(rep.margins).all()
+        assert rep.violations == 0
+        assert rep.min_margin == -4.440892098500626e-16
+        # the second regime overflows where e^{-c|r|} grows, on both sides of 0;
+        # the first such r in grid order is named
+        with pytest.raises(ValueError) as err:
             lemma41_check(1.0, 1.0, -1.5, rmax=800)
+        assert str(err.value) == (
+            "lemma41 lhs is not finite at r = -800.0 (a=1.0, b=1.0, c=-1.5): "
+            "its exponentials overflow there, so choose a smaller rmax"
+        )
 
     def test_denominator_overflow_is_an_error_not_a_violation(self):
-        # from r = 142.1 on, expm1(2.5 r)^2 overflows while the numerator stays
-        # finite, so the lhs read 0 (true value about 2.9e-10 > rhs = 2.56e-12)
-        # and counted as 21 false violations
-        with pytest.raises(ValueError, match=r"overflows at r = 142\.09854927463732 "):
-            lemma41_check(1e-12, 1.0, 1.5, rmax=145)
-        # the grid point before the overflow is still checked as before
-        assert lemma41_check(1e-12, 1.0, 1.5, rmax=141.9534767383692).violations == 0
-        # the first point in grid order is named, not the smallest
-        with pytest.raises(ValueError, match=r"overflows at r = 144\.0 "):
-            lemma41_check(1e-12, 1.0, 1.5, r_grid=[-200.0, 1.0, 144.0, 140.0, 143.0])
+        # from r = 142.1 on, expm1(2.5 r)^2 overflowed while the numerator
+        # stayed finite, so the lhs read 0 (true value about 2.9e-10 > rhs =
+        # 2.56e-12) and counted as 21 false violations; at -|r| the squared
+        # denominator lies below 1, and the true value is checked
+        rep = lemma41_check(1e-12, 1.0, 1.5, rmax=145)
+        assert np.isfinite(rep.margins).all()
+        assert rep.violations == 0
+        assert rep.min_margin == 2.805468433576834e-15
+        assert lemma41_lhs(1e-12, 1.0, 1.5, 142.1) == pytest.approx(2.842e-10, rel=1e-9)
+        rep = lemma41_check(1e-12, 1.0, 1.5, r_grid=[-200.0, 1.0, 144.0, 140.0, 143.0])
+        assert np.isfinite(rep.margins).all()
+        assert rep.violations == 0
 
     @pytest.mark.parametrize("name, args, kwargs", [
         ("a", (math.nan, 0.5, 1.0), {}),
@@ -490,7 +509,8 @@ class TestLemma41:
 
 def reference_lemma41_lhs(a, b, c, r):
     """``lemma41_lhs`` as one expression of whole arrays, the form it had
-    before it wrote into preallocated buffers."""
+    before it wrote into preallocated buffers and evaluated at -|r|: called
+    at ``-np.abs(r)`` it is what ``lemma41_lhs`` computes at r."""
     r_arr = np.asarray(r, dtype=float)
     limit = 16.0 * a * b / (a + b + c) ** 2
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -520,7 +540,8 @@ r_values = st.sampled_from([0.0, 1e-300, -1e-6]) | st.floats(-300.0, 300.0)
 
 class TestLemma41Buffers:
     """``lemma41_lhs`` writes into two buffers with ``out=`` ufuncs in the
-    order of the whole-array expression, so no array result moves a bit."""
+    order of the whole-array expression at -|r|, so no array result moves a
+    bit from that expression's."""
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(abc=lemma41_parameters(), r=st.lists(r_values, min_size=1, max_size=40))
@@ -528,7 +549,7 @@ class TestLemma41Buffers:
         a, b, c = abc
         r = np.array(r + [0.0])
         got = lemma41_lhs(a, b, c, r)
-        want = reference_lemma41_lhs(a, b, c, r)
+        want = reference_lemma41_lhs(a, b, c, -np.abs(r))
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
@@ -536,7 +557,7 @@ class TestLemma41Buffers:
         r = np.linspace(-2.0, 2.0, 12).reshape(3, 4)
         got = lemma41_lhs(0.5, 0.5, 1.0, r)
         assert got.shape == (3, 4)
-        assert got.tobytes() == reference_lemma41_lhs(0.5, 0.5, 1.0, r).tobytes()
+        assert got.tobytes() == reference_lemma41_lhs(0.5, 0.5, 1.0, -np.abs(r)).tobytes()
 
     def test_does_not_write_to_its_input(self):
         r = np.linspace(-2.0, 2.0, 11)
@@ -580,5 +601,37 @@ class TestLemma41Buffers:
         assert rep.r_grid.flags.writeable
         assert grid.tobytes() == before.tobytes()
         assert rep.r_grid.tobytes() == grid[np.abs(grid) >= 1e-4].tobytes()
-        want = reference_lemma41_lhs(0.5, 0.5, 1.0, rep.r_grid) - rep.rhs
+        want = reference_lemma41_lhs(0.5, 0.5, 1.0, -np.abs(rep.r_grid)) - rep.rhs
         assert rep.margins.tobytes() == want.tobytes()
+
+
+class TestLemma41Evenness:
+    """The lhs is even in r, and ``lemma41_lhs`` evaluates it at -|r|, where
+    no exponential of the first regime grows."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(abc=lemma41_parameters(), r=st.lists(r_values, min_size=1, max_size=40))
+    def test_lhs_at_r_and_minus_r_have_the_same_bits(self, abc, r):
+        a, b, c = abc
+        r = np.array(r)
+        assert lemma41_lhs(a, b, c, r).tobytes() == lemma41_lhs(a, b, c, -r).tobytes()
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(abc=lemma41_parameters().filter(lambda abc: abc[2] > 0.0),
+           rmax=st.sampled_from([1e6]) | st.floats(1.0, 1e6))
+    def test_first_regime_margins_are_finite_at_any_rmax(self, abc, rmax):
+        rep = lemma41_check(*abc, rmax=rmax, steps=201)
+        assert np.isfinite(rep.margins).all()
+        assert rep.violations == 0
+
+    def test_second_regime_refused_exactly_past_the_overflow(self):
+        # (e^{1.5 |r|} + 1)^2 overflows once 1.5 |r| > 354.9, at |r| > 236.6
+        rep = lemma41_check(1.0, 1.0, -1.5, rmax=230)
+        assert np.isfinite(rep.margins).all()
+        assert rep.violations == 0
+        with pytest.raises(ValueError) as err:
+            lemma41_check(1.0, 1.0, -1.5, rmax=240)
+        assert str(err.value) == (
+            "lemma41 lhs is not finite at r = -240.0 (a=1.0, b=1.0, c=-1.5): "
+            "its exponentials overflow there, so choose a smaller rmax"
+        )
