@@ -701,9 +701,9 @@ def lemma41_lhs(a: float, b: float, c: float, r):
     at t = -|r|, where in the first regime (c >= a + b > 0) no exponential
     grows, and lhs(r) and lhs(-r) have the same bits. In the second regime
     (c <= 0), (e^{ct}+1)^2 overflows once |c| |r| > 354.9, where the value
-    itself exceeds the float range unless a or b is 0 (then it reads
-    0 * inf = NaN); that inf or NaN is not reported here, and
-    ``lemma41_check`` refuses it.
+    itself exceeds the float range; that inf is not reported here, and
+    ``lemma41_check`` refuses it. At a * b = 0 the value and its limit are
+    identically 0, and exact zeros are returned for every r.
 
     Takes a scalar r, which runs as a one-element array and returns a float,
     or an array of any shape, which returns a new array of that shape. The
@@ -716,6 +716,8 @@ def lemma41_lhs(a: float, b: float, c: float, r):
     r_arr = np.asarray(r, dtype=float)
     scalar = r_arr.ndim == 0
     r_arr = np.atleast_1d(r_arr)
+    if a == 0.0 or b == 0.0:
+        return 0.0 if scalar else np.zeros(r_arr.shape)
     limit = 16.0 * a * b / (a + b + c) ** 2
     out, tmp = np.empty(r_arr.shape), np.empty(r_arr.shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -819,19 +819,19 @@ class SampleRecord:
         doc["b"] = None if self.obs_b is None else matrix(self.obs_b)
         return doc
 
-    def to_json_text(self, indent: int = 2) -> str:
-        """``json.dumps(self.to_json(), indent=indent, sort_keys=True)``."""
-        return _json_text(self.to_json(matrix=np.asarray), indent)
+    def to_json_text(self) -> str:
+        """``json.dumps(self.to_json(), indent=2, sort_keys=True)``."""
+        return _json_text(self.to_json(matrix=np.asarray))
 
 
-def _json_text(doc, indent: int) -> str:
-    """``json.dumps(doc, indent=indent, sort_keys=True)`` for a document with
+def _json_text(doc) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)`` for a document with
     string keys whose matrices are left as arrays: each array is written as
     its ``matrix_to_json`` node would be, straight from its floats, and an
     array that recurs at the same depth is rendered once. Every other value
     goes through ``json.dumps``, so NaN and infinities come out as there.
     """
-    pad = " " * indent
+    pad = "  "
     chunks: list[str] = []
     rendered: dict[tuple[int, int], str] = {}
 
@@ -839,7 +839,7 @@ def _json_text(doc, indent: int) -> str:
         if isinstance(node, np.ndarray):
             seen = (id(node), level)
             if seen not in rendered:
-                rendered[seen] = matrix_json_text(node, pad, level)
+                rendered[seen] = matrix_json_text(node, level)
             chunks.append(rendered[seen])
         elif isinstance(node, dict) and node:
             sep = "{\n" + pad * (level + 1)
@@ -1011,10 +1011,10 @@ class CampaignReport:
             "wall_time_seconds": self.wall_time,
         }
 
-    def to_json_text(self, indent: int = 2) -> str:
-        """``json.dumps(self.to_json(), indent=indent, sort_keys=True)``,
+    def to_json_text(self) -> str:
+        """``json.dumps(self.to_json(), indent=2, sort_keys=True)``,
         written from the worst cases' arrays."""
-        return _json_text(self.to_json(matrix=np.asarray), indent)
+        return _json_text(self.to_json(matrix=np.asarray))
 
     def csv_rows(self, threads: int = 1):
         """The CSV report as text: the header line, then one string per entry

@@ -79,6 +79,12 @@ def _require_finite(a: np.ndarray) -> None:
         raise ValueError("matrix entries must be finite")
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, marked read-only."""
+    a.flags.writeable = False
+    return a
+
+
 def _dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of every matrix in a stack [..., n, n]."""
     return np.swapaxes(a, -1, -2).conj()
@@ -100,10 +106,8 @@ class HermitianMatrix:
     """
 
     def __init__(self, entries):
-        h = _hermitian_part(_as_square_complex(entries))
-        h.flags.writeable = False
-        self.entries = h
-        self.dim = h.shape[0]
+        self.entries = _read_only(_hermitian_part(_as_square_complex(entries)))
+        self.dim = self.entries.shape[0]
         self._decomposition: SpectralDecomposition | None = None
 
     def __array__(self, dtype=None, copy=None):
@@ -114,12 +118,14 @@ class HermitianMatrix:
 
 
 class DensityMatrix(HermitianMatrix):
-    """Strictly positive, trace-one Hermitian matrix (a faithful state)."""
+    """Strictly positive, trace-one Hermitian matrix (a faithful state),
+    decomposed once, at construction, with the state checks of ``eigh_stack``
+    (positivity among them); ``hermitian_eigen`` returns that decomposition."""
 
     def __init__(self, entries):
         super().__init__(entries)
         _check_trace_one(self.entries)
-        _check_positive(np.linalg.eigvalsh(self.entries)[0])
+        self._decomposition = _decompose(self.entries, density=True)
 
 
 def _hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -149,8 +155,7 @@ def _check_trace_one(a: np.ndarray) -> None:
         raise ValueError(f"trace must be 1, got {float(tr[bad].flat[0])!r}")
 
 
-def _check_positive(lam_min) -> None:
-    lam_min = np.asarray(lam_min)
+def _check_positive(lam_min: np.ndarray) -> None:
     bad = lam_min < POSITIVITY_FLOOR
     if bad.any():
         raise ValueError(
@@ -171,7 +176,7 @@ def hermitian_stack(entries: np.ndarray) -> np.ndarray:
 def density_stack(entries: np.ndarray) -> np.ndarray:
     """Validate a stack [S, n, n] of states as ``DensityMatrix`` does one,
     except for the positivity floor, which ``eigh_stack(..., density=True)``
-    checks on the spectrum it computes anyway."""
+    checks on the spectrum it computes, for a stack as for one state."""
     rho = hermitian_stack(entries)
     _check_trace_one(rho)
     return rho
@@ -182,8 +187,8 @@ class SpectralDecomposition:
     """Eigenvalues (descending) and orthonormal eigenvectors of a Hermitian matrix.
 
     ``vectors[:, i]`` is the eigenvector for ``eigenvalues[i]``.
-    ``pair_cache`` holds per-observable data that ``quantities`` derives
-    from this decomposition, keyed weakly by the observable object.
+    ``pair_cache`` holds the ``element_table`` of each observable in this
+    eigenbasis, keyed weakly by the observable object.
     """
 
     eigenvalues: np.ndarray
@@ -208,15 +213,18 @@ def hermitian_eigen(a: HermitianMatrix) -> SpectralDecomposition:
 
     The checked result is cached on ``a``: the entries are read-only, so
     later calls on the same object return the same decomposition without
-    decomposing again. A failed check caches nothing.
+    decomposing again. A failed check caches nothing. A ``DensityMatrix``
+    was decomposed, with the state checks, when it was constructed.
     """
     if a._decomposition is None:
-        w, v = eigh_stack(a.entries[None], density=isinstance(a, DensityMatrix))
-        w, v = w[0], v[0]
-        w.flags.writeable = False
-        v.flags.writeable = False
-        a._decomposition = SpectralDecomposition(eigenvalues=w, vectors=v)
+        a._decomposition = _decompose(a.entries, density=False)
     return a._decomposition
+
+
+def _decompose(a: np.ndarray, *, density: bool) -> SpectralDecomposition:
+    """The checked decomposition of one matrix, read-only."""
+    w, v = eigh_stack(a[None], density=density)
+    return SpectralDecomposition(eigenvalues=_read_only(w[0]), vectors=_read_only(v[0]))
 
 
 def eigh_stack(m: np.ndarray, *, density: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -224,8 +232,8 @@ def eigh_stack(m: np.ndarray, *, density: bool = False) -> tuple[np.ndarray, np.
     of Hermitian matrices, with the checks of ``hermitian_eigen``.
 
     With ``density`` the stack holds states: their eigenvalues must sum to 1
-    and the smallest must clear the positivity floor (ValueError, as in
-    ``DensityMatrix``).
+    and the smallest must clear the positivity floor (ValueError), the one
+    check of a state's positivity, for one ``DensityMatrix`` as for a stack.
     """
     n = m.shape[-1]
     try:
@@ -247,11 +255,8 @@ def eigh_stack(m: np.ndarray, *, density: bool = False) -> tuple[np.ndarray, np.
         raise EigenDecompositionError(
             f"eigenvector orthonormality residual {ortho.max():.3e} too large"
         )
-    if density:
-        if (np.abs(w.sum(axis=-1) - 1.0) > EIGENVALUE_SUM_TOL).any():
-            raise EigenDecompositionError("density eigenvalues do not sum to 1")
-        if (w[..., -1] <= 0.0).any():
-            raise EigenDecompositionError("density matrix lost strict positivity")
+    if density and (np.abs(w.sum(axis=-1) - 1.0) > EIGENVALUE_SUM_TOL).any():
+        raise EigenDecompositionError("density eigenvalues do not sum to 1")
     return w, v
 
 
@@ -267,20 +272,25 @@ class MatrixElementTable:
 
     @functools.cached_property
     def weights(self) -> np.ndarray:
-        """Squared moduli |entries|^2 (real symmetric, read-only), computed
-        once per table."""
-        w = np.abs(self.entries) ** 2
-        w.flags.writeable = False
-        return w
+        """Squared moduli |entries|^2 (real symmetric, read-only)."""
+        return _read_only(np.abs(self.entries) ** 2)
+
+    @functools.cached_property
+    def row(self) -> np.ndarray:
+        """Row sums of ``weights`` (read-only)."""
+        return _read_only(self.weights.sum(axis=-1))
 
 
 def element_table(decomp: SpectralDecomposition, h: HermitianMatrix) -> MatrixElementTable:
-    """Transform an observable into the eigenbasis of the decomposed state."""
-    if h.dim != decomp.dim:
-        raise ValueError(f"dimension mismatch: {h.dim} vs {decomp.dim}")
-    t = element_tables(decomp.eigenvalues[None], decomp.vectors[None], h.entries[None])[0]
-    t.flags.writeable = False
-    return MatrixElementTable(entries=t)
+    """The observable in the eigenbasis of the decomposed state, built and
+    checked once per observable object, then kept in ``decomp.pair_cache``."""
+    table = decomp.pair_cache.get(h)
+    if table is None:
+        if h.dim != decomp.dim:
+            raise ValueError(f"dimension mismatch: {h.dim} vs {decomp.dim}")
+        t = element_tables(decomp.eigenvalues[None], decomp.vectors[None], h.entries[None])
+        table = decomp.pair_cache[h] = MatrixElementTable(entries=_read_only(t[0]))
+    return table
 
 
 def element_tables(lam: np.ndarray, v: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -313,14 +323,14 @@ def matrix_to_json(a) -> dict:
     return {"dim": n, "entries": parts.reshape(-1, 2).tolist()}
 
 
-def matrix_json_text(a, indent: str, level: int) -> str:
-    """``matrix_to_json(a)`` as ``json.dumps(..., indent=indent, sort_keys=True)``
+def matrix_json_text(a, level: int) -> str:
+    """``matrix_to_json(a)`` as ``json.dumps(..., indent=2, sort_keys=True)``
     lays it out as a value ``level`` levels deep, rendered from the array.
 
     The entries are finite, so each float is its ``repr``, as in ``json``.
     """
     n, parts = _float_parts(a)
-    pad = ["\n" + indent * k for k in range(level, level + 4)]
+    pad = ["\n" + "  " * k for k in range(level, level + 4)]
     if n == 0:
         entries = "[]"
     else:

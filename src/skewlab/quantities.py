@@ -1,18 +1,12 @@
 """Skew-information families evaluated two independent ways: trace formulas
 in the state eigenbasis, and explicit eigenvalue-pair sums.
 
-Every family shares one spectral decomposition of the state:
-``hermitian_eigen`` caches its checked result on the state object, so
-evaluating several families on one state decomposes it once.
-
-Every family also shares the pair data of one (decomposition, observable)
-pair: the weights ``|<phi_i|H0|phi_j>|^2`` and their row sums. The first
-call builds the element table, runs its dimension and conjugate-symmetry
-checks and keeps the two real arrays, read-only, on the decomposition,
-keyed weakly by the observable object; later calls on the same pair reuse
-them. The entry lives as long as both the decomposition (so, through
-``hermitian_eigen``'s cache, the state) and the observable object do. The
-complex table itself is not kept, and a failed check caches nothing.
+Every family shares one spectral decomposition of the state, made and
+cached when the ``DensityMatrix`` is constructed, and one element table per
+(state, observable object), which ``element_table`` caches on that
+decomposition together with its weights ``|<phi_i|H0|phi_j>|^2`` and their
+row sums. So evaluating several families, or ``fgh_eigensum``, on one pair
+decomposes the state once and builds its table once.
 
 The trace formulas work on the eigenvalues ``lam[..., n]``, the squared
 moduli ``w[..., n, n]`` of the centered observable's elements and their row
@@ -108,16 +102,10 @@ def _pair_data(
     rho: DensityMatrix, h: HermitianMatrix
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenvalues of rho, squared moduli of the centered observable's
-    elements in rho's eigenbasis, and their row sums; the last two are
-    cached on rho's decomposition per observable object."""
+    elements in rho's eigenbasis, and their row sums."""
     decomp = hermitian_eigen(rho)
-    cached = decomp.pair_cache.get(h)
-    if cached is None:
-        w = element_table(decomp, h).weights
-        row = w.sum(axis=-1)
-        row.flags.writeable = False
-        cached = decomp.pair_cache[h] = (w, row)
-    return (decomp.eigenvalues, *cached)
+    table = element_table(decomp, h)
+    return decomp.eigenvalues, table.weights, table.row
 
 
 def _powers(lam: np.ndarray, s) -> np.ndarray:

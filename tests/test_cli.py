@@ -690,6 +690,15 @@ class TestLemma41:
             "its exponentials overflow there, so choose a smaller rmax\n"
         )
 
+    @pytest.mark.parametrize("a, b", [("0", "1"), ("1", "0")])
+    def test_zero_product_exit_zero_past_the_overflow(self, capsys, a, b):
+        # at a * b = 0 the lhs is identically 0; it read 0 * inf = NaN past
+        # |c| |r| = 354.9 and exited 2
+        assert main(["lemma41", "--a", a, "--b", b, "--c", "-0.5",
+                     "--rmax", "800", "--steps", "7"]) == 0
+        out = capsys.readouterr().out
+        assert "-800,0,0\n" in out and out.endswith("violations = 0\n")
+
     @pytest.mark.parametrize("args, name", [
         (["--a", "0.5", "--b", "0.5", "--c", "inf"], "c"),
         (["--a", "nan", "--b", "0.5", "--c", "1"], "a"),

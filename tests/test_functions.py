@@ -433,6 +433,20 @@ class TestLemma41:
         assert rep.min_margin >= 0.0
         assert rep.violations == 0
 
+    @pytest.mark.parametrize("a, b, c", [
+        (0.0, 1.0, -0.5), (1.0, 0.0, -0.5), (0.0, 1.0, 1.0), (1.0, 0.0, 2.5),
+    ])
+    def test_zero_product_lhs_is_exactly_zero(self, a, b, c):
+        # in the second regime e^{-c|r|} overflows past |c| |r| = 354.9, and
+        # 0 * inf read as NaN, so the check refused a value that is 0
+        r = np.array([-800.0, -1.0, 0.0, 1e-300, 1.0, 800.0])
+        assert lemma41_lhs(a, b, c, r).tobytes() == np.zeros(6).tobytes()
+        assert repr(lemma41_lhs(a, b, c, 800.0)) == "0.0"
+        rep = lemma41_check(a, b, c, rmax=800, steps=7)
+        assert rep.rhs == 0.0 and rep.limit_gap == 0.0
+        assert rep.margins.tobytes() == np.zeros(6).tobytes()
+        assert rep.violations == 0
+
     def test_regime_guard(self):
         with pytest.raises(ValueError, match="regime"):
             lemma41_check(1.0, 1.0, 0.5)
@@ -510,8 +524,12 @@ class TestLemma41:
 def reference_lemma41_lhs(a, b, c, r):
     """``lemma41_lhs`` as one expression of whole arrays, the form it had
     before it wrote into preallocated buffers and evaluated at -|r|: called
-    at ``-np.abs(r)`` it is what ``lemma41_lhs`` computes at r."""
+    at ``-np.abs(r)`` it is what ``lemma41_lhs`` computes at r. At a * b = 0,
+    where the expression reads 0 * inf = NaN once e^{c r} overflows, the lhs
+    and its limit are exact zeros."""
     r_arr = np.asarray(r, dtype=float)
+    if a == 0.0 or b == 0.0:
+        return np.zeros(r_arr.shape)
     limit = 16.0 * a * b / (a + b + c) ** 2
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         num = (

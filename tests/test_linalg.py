@@ -9,6 +9,7 @@ from skewlab.linalg import (
     EigenDecompositionError,
     HermitianMatrix,
     density_stack,
+    eigh_stack,
     element_table,
     hermitian_eigen,
     hermitian_stack,
@@ -132,6 +133,22 @@ class TestStackValidation:
         assert got == self.message(HermitianMatrix, stack[k])
         assert stack.tobytes() == before.tobytes()
 
+    @pytest.mark.parametrize("p", [1e-8 * (1 - 1e-4), 1e-8 * (1 + 1e-4)])
+    def test_positivity_floor_is_decided_as_for_a_stack(self, p):
+        """Rotated diag(1 - p, p) just below and just above the floor: one
+        state and a stack of it get the same verdict and the same message."""
+        u = haar_unitary(2, np.random.default_rng(40))
+        rho = (u * np.array([1.0 - p, p])) @ u.conj().T
+        stack = rho[None]
+        if p < linalg.POSITIVITY_FLOOR:
+            got = self.message(DensityMatrix, rho)
+            assert got == ("state is not strictly positive: smallest eigenvalue "
+                           "9.999e-09 is below the floor 1.0e-08")
+            assert got == self.message(lambda m: eigh_stack(density_stack(m), density=True), stack)
+        else:
+            lam, _ = eigh_stack(density_stack(stack), density=True)
+            assert hermitian_eigen(DensityMatrix(rho)).eigenvalues.tobytes() == lam[0].tobytes()
+
     def test_valid_stacks_pass_unwritten(self):
         stack = self.states(np.random.default_rng(30))
         before = stack.copy()
@@ -189,8 +206,15 @@ class TestDecompositionCache:
         assert hermitian_eigen(rho) is hermitian_eigen(rho)
         assert len(eigh_calls) == 1
 
+    def test_construction_decomposes_the_state_once(self, eigh_calls):
+        rho = random_density(4, np.random.default_rng(21))
+        assert len(eigh_calls) == 1
+        assert rho._decomposition is hermitian_eigen(rho)
+        assert len(eigh_calls) == 1
+
     def test_equal_valued_new_object_is_decomposed_on_its_own(self, eigh_calls):
         entries = random_density(3, np.random.default_rng(22)).entries
+        eigh_calls.clear()
         a, b = DensityMatrix(entries), DensityMatrix(entries)
         da, db = hermitian_eigen(a), hermitian_eigen(b)
         assert da is not db
@@ -240,6 +264,16 @@ class TestCentering:
 
 
 class TestElementTable:
+    def test_one_table_per_decomposition_and_observable(self):
+        rng = np.random.default_rng(17)
+        d = hermitian_eigen(random_density(4, rng))
+        h = HermitianMatrix(random_hermitian(4, rng))
+        t = element_table(d, h)
+        assert element_table(d, h) is t
+        assert t.row is t.row and not t.row.flags.writeable
+        assert t.row.tobytes() == t.weights.sum(axis=-1).tobytes()
+        assert element_table(d, HermitianMatrix(h.entries)) is not t
+
     def test_conjugate_symmetry(self):
         rng = np.random.default_rng(14)
         rho = random_density(6, rng)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from skewlab import quantities
+from skewlab import linalg, quantities
 from skewlab.functions import Const, FunctionTriple, Power
 from skewlab.linalg import (
     DensityMatrix,
@@ -351,16 +351,25 @@ def every_family(rho, h):
 
 @pytest.fixture
 def table_calls(monkeypatch):
-    """Count the element tables ``quantities`` builds during the test."""
+    """The element tables ``linalg`` builds during the test: one list entry
+    per build, the entries of its observable. ``element_table`` returns a
+    cached table without building it again."""
     calls = []
-    build = quantities.element_table
+    build = linalg.element_tables
 
-    def counted(decomp, h, *args, **kwargs):
-        calls.append(h)
-        return build(decomp, h, *args, **kwargs)
+    def counted(lam, v, h):
+        calls.append(h.base)
+        return build(lam, v, h)
 
-    monkeypatch.setattr(quantities, "element_table", counted)
+    monkeypatch.setattr(linalg, "element_tables", counted)
     return calls
+
+
+def built_for(calls, *observables):
+    """Whether the builds in ``calls`` were for ``observables``, in order."""
+    return len(calls) == len(observables) and all(
+        c is h.entries for c, h in zip(calls, observables)
+    )
 
 
 class TestPairDataCache:
@@ -371,7 +380,7 @@ class TestPairDataCache:
             every_family(rho, a)
             every_family(rho, b)
         assert len(eigh_calls) == 1
-        assert table_calls == [a, b]
+        assert built_for(table_calls, a, b)
 
     def test_repeated_calls_equal_calls_on_fresh_copies(self):
         rng = np.random.default_rng(32)
@@ -387,7 +396,7 @@ class TestPairDataCache:
         rho, h = random_density(4, rng), random_hermitian(4, rng)
         twin = HermitianMatrix(h.entries)
         assert wy_skew(rho, h) == wy_skew(rho, twin)
-        assert table_calls == [h, twin]
+        assert built_for(table_calls, h, twin)
 
     def test_cached_arrays_are_read_only(self):
         rng = np.random.default_rng(35)
@@ -413,13 +422,19 @@ class TestPairDataCache:
         gc.collect()
         assert len(cache) == 0
 
-    def test_failed_check_caches_nothing(self, table_calls):
+    def test_failed_check_caches_nothing(self, monkeypatch, table_calls):
         rng = np.random.default_rng(37)
         rho, h = random_density(4, rng), random_hermitian(3, rng)
         for _ in range(2):
             with pytest.raises(ValueError, match="dimension mismatch"):
                 wy_skew(rho, h)
-        assert len(table_calls) == 2
+        assert table_calls == []
+        h = random_hermitian(4, rng)
+        monkeypatch.setattr(linalg, "ELEMENT_SYMMETRY_TOL", -1.0)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="conjugate symmetry"):
+                wy_skew(rho, h)
+        assert built_for(table_calls, h, h)
         assert len(hermitian_eigen(rho).pair_cache) == 0
 
     def test_upper_pairs_are_shared_and_read_only(self):

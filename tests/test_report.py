@@ -3,7 +3,7 @@ each worst case's sample.
 
 ``CampaignReport.to_json_text`` and ``SampleRecord.to_json_text`` render the
 worst cases' matrices straight from their arrays. Their text must equal
-``json.dumps(to_json(), indent=indent, sort_keys=True)`` byte for byte.
+``json.dumps(to_json(), indent=2, sort_keys=True)`` byte for byte.
 """
 
 import concurrent.futures
@@ -71,9 +71,9 @@ def report(request):
     return harness.run_campaign(_config(request.param), threads=1)
 
 
-@pytest.mark.parametrize("indent", [2, 4])
+@pytest.mark.parametrize("indent", [2])
 def test_report_text_equals_json_dumps(report, indent):
-    assert report.to_json_text(indent) == _dumps(report.to_json(), indent)
+    assert report.to_json_text() == _dumps(report.to_json(), indent)
 
 
 def test_record_text_equals_json_dumps(report):
@@ -157,16 +157,16 @@ def _as_json(node):
 
 
 @PROPERTY
-@given(doc=_documents(_scalars | _matrices), indent=st.sampled_from([0, 1, 2, 4]))
-def test_writer_equals_json_dumps(doc, indent):
-    assert harness._json_text(doc, indent) == _dumps(_as_json(doc), indent)
+@given(doc=_documents(_scalars | _matrices))
+def test_writer_equals_json_dumps(doc):
+    assert harness._json_text(doc) == _dumps(_as_json(doc))
 
 
 def test_shared_array_rendered_once():
     a = np.arange(4, dtype=complex).reshape(2, 2)
     doc = {"x": a, "y": a, "z": [a.copy()]}
     with patch.object(harness, "matrix_json_text", wraps=matrix_json_text) as render:
-        text = harness._json_text(doc, 2)
+        text = harness._json_text(doc)
     assert text == _dumps(_as_json(doc))
     # "x" and "y" share one array at one depth; "z" holds another array
     assert render.call_count == 2
@@ -174,7 +174,7 @@ def test_shared_array_rendered_once():
 
 def test_writer_keeps_the_finite_check():
     with pytest.raises(ValueError, match="finite"):
-        harness._json_text({"rho": np.array([[1.0, np.nan], [0.0, 1.0]])}, 2)
+        harness._json_text({"rho": np.array([[1.0, np.nan], [0.0, 1.0]])})
 
 
 # -------------------------------------------------------------- the replay
@@ -392,7 +392,7 @@ def test_matrix_to_json_entries_match_element_loop(view):
     assert doc == {"dim": 4, "entries": _loop_entries(a)}
     assert repr(doc["entries"]) == repr(_loop_entries(a))   # -0.0 keeps its sign
     for level in (0, 3):
-        assert matrix_json_text(a, "  ", level) == _dumps(doc).replace("\n", "\n" + "  " * level)
+        assert matrix_json_text(a, level) == _dumps(doc).replace("\n", "\n" + "  " * level)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -402,4 +402,4 @@ def test_matrix_to_json_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="finite"):
         matrix_to_json(m)
     with pytest.raises(ValueError, match="finite"):
-        matrix_json_text(m, "  ", 0)
+        matrix_json_text(m, 0)
