@@ -241,6 +241,20 @@ def _check_eps(eps: float) -> None:
         raise ValueError(f"eps must lie in (0, 1), got {eps!r}")
 
 
+def _finite_values(name: str, fn: ScalarFunction, grid: np.ndarray) -> np.ndarray:
+    """``fn`` on ``grid``, which holds both ends of [eps, 1], where every
+    catalog function takes its extreme values. A value that is not finite
+    raises ValueError naming the function and the first such x."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        values = np.asarray(fn.value(grid), dtype=float)
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise ValueError(
+            f"{name} = {fn} is not finite at x = {float(grid[np.argmin(finite)])!r}"
+        )
+    return values
+
+
 @dataclass(frozen=True)
 class FunctionTriple:
     """Triple (f, g, h) on the one domain [eps, 1]; f must be strictly
@@ -254,7 +268,10 @@ class FunctionTriple:
     def __post_init__(self):
         _check_eps(self.eps)
         grid = np.linspace(self.eps, 1.0, PAIR_GRID)
-        if np.any(np.asarray(self.f.value(grid)) <= 0.0):
+        f_values = _finite_values("f", self.f, grid)
+        _finite_values("g", self.g, grid)
+        _finite_values("h", self.h, grid)
+        if np.any(f_values <= 0.0):
             raise ValueError("f must be strictly positive on [eps, 1]")
         if np.any(np.asarray(self.f.deriv(grid)) <= 0.0):
             raise ValueError("f must be strictly increasing on [eps, 1]")
@@ -416,10 +433,10 @@ def classify_pair(
     if k < 2:
         raise ValueError("classification grid needs at least 2 points")
     _check_eps(eps)
-    m, big_m = _ratio_extrema(f, g, k, eps)
     grid = np.linspace(eps, 1.0, k)
-    fv = np.asarray(f.value(grid), dtype=float)
-    gv = np.asarray(g.value(grid), dtype=float)
+    fv = _finite_values("f", f, grid)
+    gv = _finite_values("g", g, grid)
+    m, big_m = _ratio_extrema(f, g, k, eps)
     if _pair_condition(fv, gv, +1) and m >= -_PAIR_TOL:
         return (PairClass.MONOTONE, m, big_m)
     if _pair_condition(fv, gv, -1) and big_m <= _PAIR_TOL:
@@ -807,9 +824,18 @@ def lemma41_check(
             f"lemma41 rhs 16ab/(a+b+c)^2 overflows at a = {a!r}, b = {b!r}, c = {c!r}"
         )
     if r_grid is None:
+        if not math.isfinite(2.0 * rmax):
+            raise ValueError(
+                f"rmax = {rmax!r} is too large: the grid's width 2 * rmax overflows"
+            )
         r_grid = _default_r_grid(rmax, steps)
     else:
         r_grid = np.asarray(r_grid, dtype=float)
+        finite = np.isfinite(r_grid)
+        if not finite.all():
+            raise ValueError(
+                f"r grid point {float(r_grid.flat[np.argmin(finite)])!r} is not finite"
+            )
         r_grid = r_grid[np.abs(r_grid) >= 1e-4]
     if r_grid.size == 0:
         raise ValueError("r grid is empty after excluding the |r| < 1e-4 band")

@@ -21,7 +21,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import count, repeat
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -825,40 +825,35 @@ class SampleRecord:
 
 
 def _json_text(doc) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True)`` for a document with
-    string keys whose matrices are left as arrays: each array is written as
-    its ``matrix_to_json`` node would be, straight from its floats, and an
-    array that recurs at the same depth is rendered once. Every other value
-    goes through ``json.dumps``, so NaN and infinities come out as there.
+    """``json.dumps(doc, indent=2, sort_keys=True)`` for a document whose
+    matrices are left as arrays: ``json.dumps`` writes a numbered marker in
+    each array's place, numbered afresh until no string of the document
+    reads like one, and each marker becomes its array's ``matrix_json_text``
+    at the depth of its line, rendered once per (array, depth).
     """
-    pad = "  "
-    chunks: list[str] = []
-    rendered: dict[tuple[int, int], str] = {}
+    numbers = count()
+    marks: dict[str, np.ndarray] = {}   # each marker as written -> its array
 
-    def emit(node, level: int) -> None:
-        if isinstance(node, np.ndarray):
-            seen = (id(node), level)
-            if seen not in rendered:
-                rendered[seen] = matrix_json_text(node, level)
-            chunks.append(rendered[seen])
-        elif isinstance(node, dict) and node:
-            sep = "{\n" + pad * (level + 1)
-            for name, value in sorted(node.items()):
-                chunks.append(sep + json.dumps(name) + ": ")
-                emit(value, level + 1)
-                sep = ",\n" + pad * (level + 1)
-            chunks.append("\n" + pad * level + "}")
-        elif isinstance(node, (list, tuple)) and node:
-            sep = "[\n" + pad * (level + 1)
-            for value in node:
-                chunks.append(sep)
-                emit(value, level + 1)
-                sep = ",\n" + pad * (level + 1)
-            chunks.append("\n" + pad * level + "]")
-        else:
-            chunks.append(json.dumps(node))
+    def mark(a: np.ndarray) -> str:
+        marker = f"\x00{next(numbers)}\x00"
+        marks[json.dumps(marker)] = a
+        return marker
 
-    emit(doc, 0)
+    while True:
+        marks.clear()
+        text = json.dumps(doc, indent=2, sort_keys=True, default=mark)
+        if all(text.count(m) == 1 for m in marks):
+            break
+    chunks, end, rendered = [], 0, {}
+    for m, a in marks.items():   # in the order of the text
+        at = text.index(m, end)
+        line = text[text.rfind("\n", 0, at) + 1 : at]
+        key = (id(a), (len(line) - len(line.lstrip(" "))) // 2)
+        if key not in rendered:
+            rendered[key] = matrix_json_text(a, key[1])
+        chunks += (text[end:at], rendered[key])
+        end = at + len(m)
+    chunks.append(text[end:])
     return "".join(chunks)
 
 

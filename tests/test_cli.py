@@ -47,6 +47,15 @@ def write_config(tmp_path, doc, name="config.json"):
     return str(path)
 
 
+def run_cli(*argv, module="skewlab"):
+    """``python -m module *argv`` in a fresh interpreter, so that a numpy
+    warning shows up in its stderr."""
+    src = str(Path(skewlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", module, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 def parsed_values(out):
     values = {}
     for line in out.splitlines():
@@ -538,10 +547,7 @@ class TestBeta:
             "g": {"kind": "scaled_sum", "terms": [[5e-324, 2]]},
             "h": {"kind": "power", "p": 1},
         })
-        src = str(Path(skewlab.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run([sys.executable, "-m", "skewlab", "beta", "--triple", triple],
-                              capture_output=True, text=True, env=env, timeout=120)
+        proc = run_cli("beta", "--triple", triple)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "Warning" not in proc.stderr
@@ -754,6 +760,16 @@ class TestLemma41:
         assert captured.err == f"error: steps must be at least 1, got {steps}\n"
 
 
+    def test_grid_width_that_overflows_exit_two(self):
+        # np.linspace's width 2 * rmax overflowed from rmax = 9e307 on: 1,998
+        # rows at r = inf, a min_margin "at r = inf", exit 0 and two warnings
+        proc = run_cli("lemma41", "--a", "1", "--b", "1", "--c", "3", "--rmax", "1e308")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            "error: rmax = 1e+308 is too large: the grid's width 2 * rmax overflows\n"
+        )
+
+
 class TestCounterexample:
     def test_finds_violation(self, capsys):
         code = main(["counterexample", "--id", "NAIVE_WY_SHOULD_FAIL",
@@ -839,12 +855,7 @@ class TestCounterexample:
 
 @pytest.mark.parametrize("module", ["skewlab", "skewlab.cli"])
 def test_python_dash_m_runs_cli(module):
-    src = str(Path(skewlab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", module, "beta", "--triple", QUARTER, "--grid", "200"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_cli("beta", "--triple", QUARTER, "--grid", "200", module=module)
     assert proc.returncode == 0, proc.stderr
     assert float(parsed_values(proc.stdout)["beta"]) == pytest.approx(0.0625)
 
@@ -866,3 +877,36 @@ class TestUsage:
 
     def test_unknown_command_exits_two(self, capsys):
         assert main(["frobnicate"]) == 2
+
+
+# h = x^-300 overflows at eps = 1e-6, and f = e^{800 x} past x = 0.887
+NON_FINITE_TRIPLES = [
+    ({"f": {"kind": "power", "p": 1}, "g": {"kind": "power", "p": 2},
+      "h": {"kind": "power", "p": -300}},
+     "h = Power(p=-300.0) is not finite at x = 1e-06"),
+    ({"f": {"kind": "exp", "a": 800}, "g": {"kind": "power", "p": 2},
+      "h": {"kind": "power", "p": 1}},
+     "f = Exp(a=800.0) is not finite at x = 0.8884541232876711"),
+]
+
+
+@pytest.mark.parametrize("command", ["beta", "pairs", "scan-l"])
+@pytest.mark.parametrize("triple, message", NON_FINITE_TRIPLES)
+def test_function_values_that_are_not_finite_exit_two(command, triple, message):
+    # beta and pairs exited 0 with bounds and classes read off infinities
+    # ("(f,h): neither" for the anti-monotone x^-300), after numpy's warnings
+    proc = run_cli(command, "--triple", json.dumps(triple))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({"id": "THM31_FGH", "triple": NON_FINITE_TRIPLES[0][0]},
+     "bad THM31_FGH entry: h = Power(p=-300.0) is not finite at x = 1e-06"),
+    # a warning came before the premise error
+    ({"id": "COR41_PAIR", "f": {"kind": "power", "p": 1}, "g": {"kind": "power", "p": -400}},
+     "bad COR41_PAIR entry: g = Power(p=-400.0) is not finite at x = 1e-06"),
+])
+def test_verify_entry_whose_function_values_are_not_finite_exit_two(tmp_path, entry, message):
+    doc = {"seed": 1, "dims": [2], "samples_per_dim": 3, "inequalities": [entry]}
+    proc = run_cli("verify", write_config(tmp_path, doc))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")

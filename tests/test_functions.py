@@ -137,6 +137,30 @@ class TestSpecs:
         with pytest.raises(ValueError, match="strictly increasing"):
             FunctionTriple(Power(p=-1.0), Power(p=1.0), Const(c=1.0))
 
+    @pytest.mark.parametrize("f, g, h, message", [
+        # x^-300 overflows at eps = 1e-6, e^{800 x} past x = 0.887
+        (Power(p=1.0), Power(p=2.0), Power(p=-300.0),
+         "h = Power(p=-300.0) is not finite at x = 1e-06"),
+        (Exp(a=800.0), Power(p=2.0), Power(p=1.0),
+         "f = Exp(a=800.0) is not finite at x = 0.8884541232876711"),
+        (Power(p=1.0), ScaledSum(terms=((1.0, 1.0), (1.0, -400.0))), Const(c=1.0),
+         "g = ScaledSum(terms=((1.0, 1.0), (1.0, -400.0))) is not finite at x = 1e-06"),
+    ])
+    def test_triple_with_values_that_are_not_finite_rejected(self, f, g, h, message):
+        # beta and pairs read ratio bounds and pair classes off the infinities
+        with pytest.raises(ValueError) as err:
+            FunctionTriple(f, g, h)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("f, g, h", [
+        (Exp(a=400.0), Power(p=1.0), Exp(a=400.0)),
+        (Exp(a=300.0), Power(p=1.0), Exp(a=300.0)),
+        (Power(p=1.0), Power(p=2.0), Power(p=-50.0)),   # 1e300 at eps
+        (Power(p=1.0), Power(p=2.0), Power(p=300.0)),   # underflows to 0, finite
+    ])
+    def test_triple_with_finite_extremes_accepted(self, f, g, h):
+        FunctionTriple(f, g, h)
+
     @pytest.mark.parametrize("kind, field", [
         ("power", "p"), ("exp", "a"), ("const", "c"), ("scaled_sum", "terms"),
     ])
@@ -184,6 +208,16 @@ class TestClassifyPair:
         kind, m, big_m = classify_pair(Power(p=1.0), Const(c=1.0))
         assert (m, big_m) == (0.0, 0.0)
         assert kind is PairClass.MONOTONE
+
+    @pytest.mark.parametrize("f, g, message", [
+        (Power(p=1.0), Power(p=-300.0), "g = Power(p=-300.0) is not finite at x = 1e-06"),
+        (Exp(a=800.0), Power(p=1.0), "f = Exp(a=800.0) is not finite at x = 0.887888"),
+    ])
+    def test_values_that_are_not_finite_are_error(self, f, g, message):
+        # x^-300 read as "neither" where it is anti-monotone
+        with pytest.raises(ValueError) as err:
+            classify_pair(f, g, k=1000)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("eps", [-1.0, 0.0, 1.0, 2.0, math.nan])
     def test_eps_outside_the_unit_interval_is_error(self, eps):
@@ -503,6 +537,32 @@ class TestLemma41:
     def test_non_finite_parameters_rejected(self, name, args, kwargs):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             lemma41_check(*args, **kwargs)
+
+    @pytest.mark.parametrize("rmax", [9e307, 1e308, float(np.finfo(float).max)])
+    def test_rmax_whose_grid_overflows_rejected(self, rmax):
+        # np.linspace's width 2 * rmax overflowed: the grid held r = inf,
+        # whose margin is the r -> inf limit
+        with pytest.raises(ValueError) as err:
+            lemma41_check(1.0, 1.0, 3.0, rmax=rmax)
+        assert str(err.value) == (
+            f"rmax = {rmax!r} is too large: the grid's width 2 * rmax overflows"
+        )
+
+    def test_largest_rmax_whose_grid_is_finite_accepted(self):
+        rep = lemma41_check(1.0, 1.0, 3.0, rmax=8.9e307, steps=5)
+        assert rep.r_grid.tolist() == [-8.9e307, -4.45e307, 4.4500000000000006e307, 8.9e307]
+        assert rep.violations == 0
+
+    @pytest.mark.parametrize("grid, bad", [
+        ([np.inf, 1.0], "inf"),
+        ([1.0, -np.inf], "-inf"),
+        ([2.0, np.nan, np.inf], "nan"),   # a NaN fell out with the |r| < 1e-4 band
+        ([[1.0, 2.0], [np.nan, 3.0]], "nan"),
+    ])
+    def test_callers_grid_point_that_is_not_finite_rejected(self, grid, bad):
+        with pytest.raises(ValueError) as err:
+            lemma41_check(1.0, 1.0, 3.0, r_grid=grid)
+        assert str(err.value) == f"r grid point {bad} is not finite"
 
     @pytest.mark.parametrize("rmax", [-145.0, -1e-3, 0.0, -0.0])
     def test_non_positive_rmax_rejected(self, rmax):

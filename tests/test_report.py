@@ -172,6 +172,24 @@ def test_shared_array_rendered_once():
     assert render.call_count == 2
 
 
+def test_strings_that_read_as_markers_stay_strings():
+    # json.dumps writes a marker in each array's place: on the first layout
+    # "\x000\x00" for the array at "c" and "\x001\x00" for the one at "e",
+    # both copied into strings that come earlier in the text
+    a = np.arange(4, dtype=complex).reshape(2, 2)
+    doc = {"a": "\x000\x00", "b": ["\x001\x00", "\x00123\x00"], "c": a,
+           "d": 'x"\x002\x00', "e": {"f": a}}
+    assert harness._json_text(doc) == _dumps(_as_json(doc))
+
+
+def test_report_with_shared_worst_cases_equals_json_dumps():
+    report = harness.run_campaign(_config("16"), threads=1)
+    report.replay_worst_cases()
+    states = [s.worst.state for s in report.stats]
+    assert len({id(state) for state in states}) < len(states)   # samples shared
+    assert report.to_json_text() == json.dumps(report.to_json(), indent=2, sort_keys=True)
+
+
 def test_writer_keeps_the_finite_check():
     with pytest.raises(ValueError, match="finite"):
         harness._json_text({"rho": np.array([[1.0, np.nan], [0.0, 1.0]])})
