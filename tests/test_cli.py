@@ -759,7 +759,6 @@ class TestLemma41:
         assert captured.out == ""
         assert captured.err == f"error: steps must be at least 1, got {steps}\n"
 
-
     def test_grid_width_that_overflows_exit_two(self):
         # np.linspace's width 2 * rmax overflowed from rmax = 9e307 on: 1,998
         # rows at r = inf, a min_margin "at r = inf", exit 0 and two warnings
