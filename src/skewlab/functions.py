@@ -81,9 +81,10 @@ class ScalarFunction:
             return np.log(self.value(x))
 
     def log_deriv(self, x):
-        """Derivative of log(value). A value that underflows to 0 gives an inf
-        or a NaN, without a warning, which ``_ratio_extrema`` rejects."""
-        with np.errstate(divide="ignore", invalid="ignore"):
+        """Derivative of log(value). A value that underflows to 0, or a
+        derivative that overflows, gives an inf or a NaN, without a warning,
+        which ``_ratio_extrema`` rejects."""
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             return self.deriv(x) / self.value(x)
 
 
@@ -273,7 +274,9 @@ class FunctionTriple:
         _finite_values("h", self.h, grid)
         if np.any(f_values <= 0.0):
             raise ValueError("f must be strictly positive on [eps, 1]")
-        if np.any(np.asarray(self.f.deriv(grid)) <= 0.0):
+        with np.errstate(over="ignore"):  # an f' that overflows is +inf: still increasing
+            f_slopes = np.asarray(self.f.deriv(grid))
+        if np.any(f_slopes <= 0.0):
             raise ValueError("f must be strictly increasing on [eps, 1]")
 
 
@@ -349,6 +352,13 @@ def _ratio_extrema(f: ScalarFunction, g: ScalarFunction, k: int, eps: float) -> 
     else:
         grid = np.linspace(eps, 1.0, k)
         ld_f = np.asarray(f.log_deriv(grid), dtype=float)
+        finite = np.isfinite(ld_f)
+        if not finite.all():
+            # an inf would read as a ratio of 0 and set a bound of 0
+            raise ValueError(
+                "ratio undefined: log-derivative of f is not finite at "
+                f"x = {float(grid[np.argmin(finite)])!r}"
+            )
         if float(np.min(np.abs(ld_f))) < 1e-30:
             raise ValueError("ratio undefined: log-derivative of f vanishes on the grid")
         ratio = np.asarray(g.log_deriv(grid), dtype=float) / ld_f

@@ -118,6 +118,11 @@ class InequalitySetting:
     families take (alpha, beta) fixed whole or drawn whole; THM22_GWYD may
     instead carry a regime tag restricting where the pair is drawn. Fixed
     and cycled values must pass the id's domain check.
+
+    For THM31_FGH and COR41_PAIR, construction decides which of conditions
+    I and II the triple meets (``assumption``) and the corner coefficient
+    beta of its bound (``coefficient``), once; a triple that meets neither
+    raises the id's premise. The other ids leave both fields None.
     """
 
     id: InequalityId
@@ -126,6 +131,8 @@ class InequalitySetting:
     regime: str | None = None            # "low" | "high" | "both"
     triple: FunctionTriple | None = None
     assert_pass: bool | None = None
+    assumption: Assumption | None = field(default=None, init=False, compare=False)
+    coefficient: float | None = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
         if isinstance(self.alpha, (list, tuple)):
@@ -161,6 +168,12 @@ class InequalitySetting:
                 # a tag restricts only where a drawn pair is drawn
                 raise ConfigError(f"{name} takes no regime tag with a fixed alpha and beta")
             record.check(dict(zip(record.params, (np.asarray(v) for v in fixed))))
+        if record.premise is not None:
+            assumption = check_assumption(self.triple)
+            if assumption is Assumption.NEITHER:
+                raise ConfigError(record.premise)
+            object.__setattr__(self, "assumption", assumption)
+            object.__setattr__(self, "coefficient", beta_coefficient(ratio_bounds(self.triple)))
 
     @property
     def assertive(self) -> bool:
@@ -281,7 +294,7 @@ def _setting_from_entry(doc: dict) -> InequalitySetting:
         )
     except KeyError as exc:
         raise ConfigError(f"{ineq.value} entry misses field {exc}") from exc
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad {ineq.value} entry: {exc}") from exc
 
 
@@ -301,6 +314,12 @@ def config_from_dict(doc: dict) -> CampaignConfig:
         raise ConfigError("'inequalities' must be a list")
     if not isinstance(doc["dims"], list):
         raise ConfigError(f"'dims' must be a list of integers, got {doc['dims']!r}")
+    settings = []
+    for k, entry in enumerate(entries):
+        try:
+            settings.append(_setting_from_entry(entry))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"inequalities[{k}]: {exc}") from exc
     try:
         return CampaignConfig(
             seed=doc["seed"],
@@ -308,7 +327,7 @@ def config_from_dict(doc: dict) -> CampaignConfig:
             samples_per_dim=doc["samples_per_dim"],
             delta=doc.get("delta", DEFAULT_DELTA),
             slack=doc.get("slack", DEFAULT_SLACK),
-            inequalities=tuple(_setting_from_entry(e) for e in entries),
+            inequalities=tuple(settings),
         )
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
@@ -491,26 +510,6 @@ def _param_draws(seed: int, dim: int, indices: np.ndarray, ordinal) -> np.ndarra
     return _philox_random(seed ^ _PARAM_SALT, key1)
 
 
-@dataclass(frozen=True)
-class _TriplePlan:
-    """Per-setting precomputation for the function-triple inequalities."""
-
-    triple: FunctionTriple
-    assumption: Assumption
-    beta: float
-
-
-def _plan(setting: InequalitySetting) -> _TriplePlan | None:
-    premise = INEQUALITIES[setting.id].premise
-    if premise is None:
-        return None
-    triple = setting.triple
-    assumption = check_assumption(triple)
-    if assumption is Assumption.NEITHER:
-        raise ConfigError(premise)
-    return _TriplePlan(triple, assumption, beta_coefficient(ratio_bounds(triple)))
-
-
 def _draws_params(setting: InequalitySetting) -> bool:
     """True when the entry draws some parameter per sample."""
     return any(getattr(setting, name) is None for name in INEQUALITIES[setting.id].params)
@@ -649,56 +648,56 @@ def _draw_thm23(u: np.ndarray, setting: InequalitySetting) -> dict:
     return {"alpha": 0.05 + 1.95 * u[:, 0], "beta": 0.05 + 1.95 * u[:, 1]}
 
 
-def _heisenberg(batch, params, plan):
+def _heisenberg(batch, params, setting):
     return batch.var[0] * batch.var[1], 0.25 * batch.comm_sq(batch.lam), {}
 
 
-def _schrodinger(batch, params, plan):
+def _schrodinger(batch, params, setting):
     lhs = batch.var[0] * batch.var[1] - batch.cov**2
     return lhs, 0.25 * batch.comm_sq(batch.lam), {}
 
 
-def _luo23(batch, params, plan):
+def _luo23(batch, params, setting):
     return batch.luo_u[0] * batch.luo_u[1], 0.25 * batch.comm_sq(batch.lam), {}
 
 
-def _naive(batch, params, plan):
+def _naive(batch, params, setting):
     ia, ib = np.maximum(batch.half[0], 0.0)
     return ia * ib, 0.25 * batch.comm_sq(batch.lam), {}
 
 
-def _thm21(batch, params, plan):
+def _thm21(batch, params, setting):
     alpha = params["alpha"]
     lhs = _u_product(*_wyd_ij(batch.lam, batch.w, batch.row, alpha))
     return lhs, alpha * (1.0 - alpha) * batch.comm_sq(batch.lam), {}
 
 
-def _thm22(batch, params, plan):
+def _thm22(batch, params, setting):
     alpha, beta = params["alpha"], params["beta"]
     lhs = _u_product(*_gwyd_ij(batch.lam, batch.w, batch.row, alpha, beta))
     return lhs, alpha * beta * batch.comm_sq(batch.lam), {}
 
 
-def _thm23(batch, params, plan):
+def _thm23(batch, params, setting):
     alpha, beta = params["alpha"], params["beta"]
     s = alpha + beta
     rhs = alpha * beta / s**2 * batch.comm_sq(_powers(batch.lam, s))
     return _u_product(*_tilde_ij(batch.lam, batch.w, batch.row, alpha, beta)), rhs, {}
 
 
-def _fgh(batch, params, plan):
-    fv, gv, hv = _triple_values(plan.triple, batch.lam)
+def _fgh(batch, params, setting):
+    fv, gv, hv = _triple_values(setting.triple, batch.lam)
     lhs = _u_product(*_fgh_ij(batch.w, batch.row, fv, gv, hv))
-    rhs = plan.beta * batch.comm_sq(fv * gv * hv)
-    return lhs, rhs, {"beta": plan.beta, "assumption": plan.assumption.value}
+    rhs = setting.coefficient * batch.comm_sq(fv * gv * hv)
+    return lhs, rhs, {"beta": setting.coefficient, "assumption": setting.assumption.value}
 
 
-def _chain24(batch, params, plan):
+def _chain24(batch, params, setting):
     i_val = np.maximum(batch.half[0][0], 0.0)
     return _chain((0.0, i_val, batch.luo_u[0], batch.var[0]), ("I>=0", "U>=I", "V>=U"))
 
 
-def _chain25(batch, params, plan):
+def _chain25(batch, params, setting):
     # the paper's third link, J_alpha >= J_half, is the first again: both
     # margins are ex_alpha - ex_half, as I = t0 - ex and J = t0 + ex
     i_a, _ = _wyd_ij(batch.lam, batch.w[0], batch.row[0], params["alpha"])
@@ -706,7 +705,7 @@ def _chain25(batch, params, plan):
     return _chain((i_a, i_h[0], j_h[0]), ("I_half>=I_alpha", "J_half>=I_half"))
 
 
-def _chain27(batch, params, plan):
+def _chain27(batch, params, setting):
     i_a, j_a = _wyd_ij(batch.lam, batch.w[0], batch.row[0], params["alpha"])
     return _chain(
         (0.0, i_a, _u_value(i_a, j_a), batch.luo_u[0]),
@@ -722,7 +721,7 @@ _PAIR = ("alpha", "beta")
 class Inequality:
     """Everything the harness knows about one inequality id."""
 
-    # (batch, per-sample params, triple plan) -> (lhs [S], rhs [S], extra
+    # (batch, per-sample params, setting) -> (lhs [S], rhs [S], extra
     # params, each a per-sample array or one value)
     kernel: Callable
     params: tuple[str, ...] = ()       # names of the per-sample parameters
@@ -776,11 +775,11 @@ def _passes(margin, lhs, rhs, slack: float):
     return margin >= -slack * np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
 
 
-def _evaluate_block(setting, batch: _Batch, params: dict, plan, slack: float) -> _EntryBlock:
+def _evaluate_block(setting, batch: _Batch, params: dict, slack: float) -> _EntryBlock:
     record = INEQUALITIES[setting.id]
     if record.check is not None:
         record.check(params)
-    lhs, rhs, extra = record.kernel(batch, params, plan)
+    lhs, rhs, extra = record.kernel(batch, params, setting)
     margin = lhs - rhs
     return _EntryBlock(lhs, rhs, margin, _passes(margin, lhs, rhs, slack), {**params, **extra})
 
@@ -899,7 +898,6 @@ def evaluate_inequality(
     margin.
     """
     setting = _as_setting(setting)
-    plan = _plan(setting)
     names = INEQUALITIES[setting.id].params
     fixed = {name: getattr(setting, name) for name in names}
     merged = {name: v for name, v in fixed.items() if isinstance(v, float)} | dict(params or {})
@@ -913,7 +911,7 @@ def evaluate_inequality(
     obs = np.stack([a.entries, b.entries])[:, None]
     batch = _Batch(lam, element_tables(lam, decomp.vectors[None], obs))
     one = {name: np.array([float(merged[name])]) for name in names}
-    record = _record(setting, _evaluate_block(setting, batch, one, plan, slack), 0, rho.dim, index)
+    record = _record(setting, _evaluate_block(setting, batch, one, slack), 0, rho.dim, index)
     record.state, record.obs_a, record.obs_b = np.asarray(rho), np.asarray(a), np.asarray(b)
     return record
 
@@ -1058,7 +1056,7 @@ def _blocks(config: CampaignConfig) -> list[tuple[int, int, int]]:
     return out
 
 
-def _block_rows(config: CampaignConfig, plans, dim: int, start: int, stop: int):
+def _block_rows(config: CampaignConfig, dim: int, start: int, stop: int):
     """Evaluate every configured inequality on samples [start, stop) of one
     dimension as one stacked batch; returns one _EntryBlock per entry."""
     indices = np.arange(start, stop)
@@ -1073,7 +1071,6 @@ def _block_rows(config: CampaignConfig, plans, dim: int, start: int, stop: int):
             setting,
             batch,
             _block_params(setting, indices, config.seed, dim, ordinal, draws.get(ordinal)),
-            plans[ordinal],
             config.slack,
         )
         for ordinal, setting in enumerate(config.inequalities)
@@ -1129,15 +1126,8 @@ def run_campaign(config: CampaignConfig, threads: int = 1) -> CampaignReport:
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     t_start = time.perf_counter()
-    plans = []
-    for k, setting in enumerate(config.inequalities):
-        try:
-            plans.append(_plan(setting))
-        except (ValueError, OverflowError) as exc:
-            raise ConfigError(f"inequalities[{k}] ({setting.id.value}): {exc}") from exc
-
     tasks = _blocks(config)
-    blocks = list(_pool_map(_worker_entry, [(config, plans, *task) for task in tasks], threads))
+    blocks = list(_pool_map(_worker_entry, [(config, *task) for task in tasks], threads))
 
     dims = np.concatenate([np.full(stop - start, dim) for dim, start, stop in tasks])
     indices = np.concatenate([np.arange(start, stop) for _dim, start, stop in tasks])
@@ -1201,9 +1191,8 @@ def search_counterexample(
         seed=seed, dims=(dim,), samples_per_dim=budget, inequalities=(setting,),
         delta=delta, slack=slack,
     )
-    plans = [_plan(setting)]
     for dim, start, stop in _blocks(config):
-        entry = _block_rows(config, plans, dim, start, stop)[0]
+        entry = _block_rows(config, dim, start, stop)[0]
         failed = np.flatnonzero(~entry.passed)
         if len(failed):
             k = int(failed[0])

@@ -343,7 +343,9 @@ class TestVerify:
         assert main(["verify", write_config(tmp_path, doc), "--out", str(out_path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: inequalities[0] ({entry['id']}): {messages[entry['id']]}\n"
+        assert captured.err == (
+            f"error: inequalities[0]: bad {entry['id']} entry: {messages[entry['id']]}\n"
+        )
         assert not out_path.exists()
 
     @pytest.mark.parametrize("triple, message", [
@@ -365,7 +367,19 @@ class TestVerify:
         assert main(["verify", write_config(tmp_path, doc)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: inequalities[1] (THM31_FGH): {message}\n"
+        assert captured.err == f"error: inequalities[1]: bad THM31_FGH entry: {message}\n"
+
+    def test_entry_whose_triple_fails_to_build_names_its_position(self, tmp_path):
+        # it read "bad THM31_FGH entry: ..." with no position, while a premise
+        # failure of the same config named inequalities[1]
+        entries = [{"id": "THM31_FGH", "triple": json.loads(QUARTER)},
+                   {"id": "THM31_FGH", "triple": NON_FINITE_TRIPLES[0][0]}]
+        doc = dict(small_config_doc(), inequalities=entries)
+        proc = run_cli("verify", write_config(tmp_path, doc))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "error: inequalities[1]: bad THM31_FGH entry: "
+                   "h = Power(p=-300.0) is not finite at x = 1e-06\n"
+        )
 
     def test_missing_file_exit_two(self):
         assert main(["verify", "/nonexistent/config.json"]) == 2
@@ -838,6 +852,18 @@ class TestCounterexample:
         assert main(["counterexample", "--budget", "5", *argv]) == 2
         assert message in capsys.readouterr().err
 
+    def test_entry_that_meets_neither_condition_exit_two(self, capsys):
+        entry = {"id": "THM31_FGH", "triple": {"f": {"kind": "power", "p": 1},
+                                               "g": {"kind": "power", "p": 1},
+                                               "h": {"kind": "power", "p": 1.5}}}
+        assert main(["counterexample", "--budget", "5", "--entry", json.dumps(entry)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: bad THM31_FGH entry: THM31_FGH requires the triple to satisfy one of "
+            "the two divided-difference conditions; this one satisfies neither\n"
+        )
+
     @pytest.mark.parametrize("argv, message", [
         (["--seed", "-1"], "seed must be a 64-bit unsigned integer"),
         (["--seed", str(2**64)], "seed must be a 64-bit unsigned integer"),
@@ -908,4 +934,54 @@ def test_function_values_that_are_not_finite_exit_two(command, triple, message):
 def test_verify_entry_whose_function_values_are_not_finite_exit_two(tmp_path, entry, message):
     doc = {"seed": 1, "dims": [2], "samples_per_dim": 3, "inequalities": [entry]}
     proc = run_cli("verify", write_config(tmp_path, doc))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", f"error: inequalities[0]: {message}\n"
+    )
+
+
+# f = e^{705 x}: its values are finite on [eps, 1], its derivative overflows near 1
+EXP_705 = {"f": {"kind": "exp", "a": 705}, "g": {"kind": "power", "p": 1},
+           "h": {"kind": "const", "c": 1}}
+# 1e306 sqrt(x): its derivative 5e305 / sqrt(x) overflows at eps = 1e-6
+HUGE_SQRT = {"kind": "scaled_sum", "terms": [[1e306, 0.5]]}
+HUGE_SQRT_AS = {
+    "f": {"f": HUGE_SQRT, "g": {"kind": "power", "p": 1}, "h": {"kind": "const", "c": 1}},
+    "g": {"f": {"kind": "power", "p": 1}, "g": HUGE_SQRT, "h": {"kind": "const", "c": 1}},
+}
+
+
+@pytest.mark.parametrize("command", ["beta", "pairs"])
+def test_derivative_that_overflows_prints_no_warning(command):
+    # numpy's overflow warning came before the bounds, from f' in the triple's check
+    proc = run_cli(command, "--triple", json.dumps(EXP_705))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert parsed_values(proc.stdout)["assumption"] == "II"
+
+
+@pytest.mark.parametrize("command, role, message", [
+    # beta and pairs warned, then exited 0 with m_g = 0 and beta = 0: f'/f
+    # read +inf at eps, so the ratio read 0 there; it is 2 everywhere
+    ("beta", "f", "ratio undefined: log-derivative of f is not finite at x = 1e-06"),
+    ("pairs", "f", "ratio undefined: log-derivative of f is not finite at x = 1e-06"),
+    ("scan-l", "f", "scan quantity f^2 is not finite at x = 1e-06, "
+                    "the first such point of the 200-point grid"),
+    # these exited 2 already, after the warning
+    ("beta", "g", "ratio undefined: non-finite log-derivative ratio"),
+    ("pairs", "g", "ratio undefined: non-finite log-derivative ratio"),
+    ("scan-l", "g", "scan quantity g^2 is not finite at x = 1e-06, "
+                    "the first such point of the 200-point grid"),
+])
+def test_log_derivative_that_overflows_exit_two(command, role, message):
+    proc = run_cli(command, "--triple", json.dumps(HUGE_SQRT_AS[role]))
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+
+
+def test_verify_entry_whose_log_derivative_overflows_exit_two(tmp_path):
+    # 100 of 100 samples read VIOLATED with min_margin=nan
+    doc = {"seed": 1, "dims": [2, 3], "samples_per_dim": 50,
+           "inequalities": [{"id": "THM31_FGH", "triple": HUGE_SQRT_AS["f"]}]}
+    proc = run_cli("verify", write_config(tmp_path, doc))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: inequalities[0]: bad THM31_FGH entry: "
+               "ratio undefined: log-derivative of f is not finite at x = 1e-06\n"
+    )

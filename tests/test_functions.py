@@ -161,6 +161,22 @@ class TestSpecs:
     def test_triple_with_finite_extremes_accepted(self, f, g, h):
         FunctionTriple(f, g, h)
 
+    def test_derivative_that_overflows_still_reads_increasing(self):
+        # f = e^{705 x} is finite on [eps, 1], but f' = 705 e^{705 x} overflows
+        # near x = 1; the overflow warned, and inf > 0 is still increasing
+        FunctionTriple(Exp(a=705.0), Power(p=1.0), Const(c=1.0))
+
+    def test_log_derivative_that_overflows_is_refused(self):
+        # f = 1e306 sqrt(x): f' overflows at eps, so f'/f read +inf there,
+        # the ratio read 0 and beta read 0, where the ratio is 2 everywhere
+        triple = FunctionTriple(ScaledSum(terms=((1e306, 0.5),)), Power(p=1.0), Const(c=1.0))
+        assert np.isposinf(triple.f.log_deriv(1e-6))
+        with pytest.raises(ValueError) as err:
+            ratio_bounds(triple)
+        assert str(err.value) == "ratio undefined: log-derivative of f is not finite at x = 1e-06"
+        with pytest.raises(ValueError, match="non-finite log-derivative ratio"):
+            classify_pair(Power(p=1.0), triple.f)
+
     @pytest.mark.parametrize("kind, field", [
         ("power", "p"), ("exp", "a"), ("const", "c"), ("scaled_sum", "terms"),
     ])

@@ -3,6 +3,7 @@
 import concurrent.futures
 import json
 import operator
+import pickle
 from unittest.mock import patch
 
 import numpy as np
@@ -29,7 +30,7 @@ from skewlab.harness import (
     sample_observable,
     search_counterexample,
 )
-from skewlab.functions import Const, FunctionTriple, Power
+from skewlab.functions import Const, FunctionTriple, Power, beta_coefficient, ratio_bounds
 from skewlab.linalg import (
     DensityMatrix,
     DomainError,
@@ -611,6 +612,77 @@ class TestCounterexample:
     def test_budget_validation(self):
         with pytest.raises(ValueError, match="budget"):
             search_counterexample("NAIVE_WY_SHOULD_FAIL", budget=0, seed=0)
+
+
+@pytest.fixture
+def premise_calls(monkeypatch):
+    """The triples passed to ``check_assumption`` through harness during
+    the test, one list entry per call."""
+    calls = []
+    check = harness.check_assumption
+
+    def counted(triple, *args, **kwargs):
+        calls.append(triple)
+        return check(triple, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "check_assumption", counted)
+    return calls
+
+
+def small_default_config():
+    return config_from_dict(dict(load_default_config(), samples_per_dim=10))
+
+
+class TestPlanning:
+    """A function entry's premise and beta are decided once, when its
+    setting is built; nothing that evaluates the setting decides them again."""
+
+    def test_config_plans_each_function_entry_once(self, premise_calls):
+        config = config_from_dict(load_default_config())
+        planned = [s for s in config.inequalities if s.triple is not None]
+        assert len(planned) == 4
+        assert premise_calls == [s.triple for s in planned]
+        for s in planned:
+            assert s.assumption.value in ("I", "II")
+            assert s.coefficient == beta_coefficient(ratio_bounds(s.triple))
+        assert all(s.assumption is s.coefficient is None
+                   for s in config.inequalities if s.triple is None)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_campaign_plans_nothing(self, premise_calls, threads):
+        config = small_default_config()
+        premise_calls.clear()
+        run_campaign(config, threads=threads)
+        assert premise_calls == []
+
+    def test_unpickled_setting_keeps_its_plan(self, premise_calls):
+        # what a worker process receives: the fields travel with the setting
+        config = small_default_config()
+        premise_calls.clear()
+        copy = pickle.loads(pickle.dumps(config))
+        assert [(s.assumption, s.coefficient) for s in copy.inequalities] == [
+            (s.assumption, s.coefficient) for s in config.inequalities
+        ]
+        run_campaign(copy)
+        assert premise_calls == []
+
+    def test_search_and_evaluate_plan_nothing(self, premise_calls):
+        planned = [s for s in small_default_config().inequalities if s.triple is not None]
+        rng = np.random.default_rng(3)
+        rho, a, b = sample_density(3, rng), sample_observable(3, rng), sample_observable(3, rng)
+        premise_calls.clear()
+        for setting in planned:
+            search_counterexample(setting, budget=20, seed=0, dim=3)
+            evaluate_inequality(setting, rho, a, b)
+        assert premise_calls == []
+
+    def test_plan_is_not_set_at_construction_nor_compared(self):
+        with pytest.raises(TypeError):
+            InequalitySetting(InequalityId.THM31_FGH, triple=QUARTER_TRIPLE, coefficient=1.0)
+        one = InequalitySetting(InequalityId.THM31_FGH, triple=QUARTER_TRIPLE)
+        two = InequalitySetting(InequalityId.THM31_FGH, triple=QUARTER_TRIPLE)
+        object.__setattr__(two, "coefficient", 0.5)
+        assert one == two and hash(one) == hash(two)
 
 
 def _first_violation_one_by_one(setting, budget, seed, dim, delta=1e-3, slack=1e-9):

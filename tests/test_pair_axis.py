@@ -76,15 +76,15 @@ class ReferenceBatch:
         return _luo_u(self.var[k], self.half[k][0])[0]
 
 
-def _fgh(b, params, plan):
-    fv, gv, hv = _triple_values(plan.triple, b.lam)
+def _fgh(b, params, setting):
+    fv, gv, hv = _triple_values(setting.triple, b.lam)
     lhs = _u_value(*_fgh_ij(b.w[0], b.row[0], fv, gv, hv)) * _u_value(
         *_fgh_ij(b.w[1], b.row[1], fv, gv, hv)
     )
-    return lhs, plan.beta * b.comm_sq(fv * gv * hv), {}
+    return lhs, setting.coefficient * b.comm_sq(fv * gv * hv), {}
 
 
-def _thm23(b, params, plan):
+def _thm23(b, params, setting):
     alpha, beta = params["alpha"], params["beta"]
     s = alpha + beta
     rhs = alpha * beta / s**2 * b.comm_sq(_powers(b.lam, s))
@@ -92,29 +92,29 @@ def _thm23(b, params, plan):
 
 
 REFERENCE_KERNELS = {
-    InequalityId.HEISENBERG_21: lambda b, p, plan: (
+    InequalityId.HEISENBERG_21: lambda b, p, setting: (
         b.var[0] * b.var[1], 0.25 * b.comm_sq(b.lam), {}),
-    InequalityId.SCHRODINGER: lambda b, p, plan: (
+    InequalityId.SCHRODINGER: lambda b, p, setting: (
         b.var[0] * b.var[1] - b.cov**2, 0.25 * b.comm_sq(b.lam), {}),
-    InequalityId.LUO_23: lambda b, p, plan: (
+    InequalityId.LUO_23: lambda b, p, setting: (
         b.luo_u(0) * b.luo_u(1), 0.25 * b.comm_sq(b.lam), {}),
-    InequalityId.NAIVE_WY_SHOULD_FAIL: lambda b, p, plan: (
+    InequalityId.NAIVE_WY_SHOULD_FAIL: lambda b, p, setting: (
         np.maximum(b.half[0][0], 0.0) * np.maximum(b.half[1][0], 0.0),
         0.25 * b.comm_sq(b.lam), {}),
-    InequalityId.THM21_WYD: lambda b, p, plan: (
+    InequalityId.THM21_WYD: lambda b, p, setting: (
         b.u_product(_wyd_ij, p["alpha"]),
         p["alpha"] * (1.0 - p["alpha"]) * b.comm_sq(b.lam), {}),
-    InequalityId.THM22_GWYD: lambda b, p, plan: (
+    InequalityId.THM22_GWYD: lambda b, p, setting: (
         b.u_product(_gwyd_ij, p["alpha"], p["beta"]),
         p["alpha"] * p["beta"] * b.comm_sq(b.lam), {}),
     InequalityId.THM23_TILDE: _thm23,
     InequalityId.THM31_FGH: _fgh,
     InequalityId.COR41_PAIR: _fgh,
-    InequalityId.CHAIN_24: lambda b, p, plan: harness._chain(
+    InequalityId.CHAIN_24: lambda b, p, setting: harness._chain(
         (0.0, np.maximum(b.half[0][0], 0.0), b.luo_u(0), b.var[0]), ("I>=0", "U>=I", "V>=U")),
-    InequalityId.CHAIN_25: lambda b, p, plan: harness._chain(
+    InequalityId.CHAIN_25: lambda b, p, setting: harness._chain(
         (b.wyd(0, p["alpha"])[0], *b.half[0]), ("I_half>=I_alpha", "J_half>=I_half")),
-    InequalityId.CHAIN_27: lambda b, p, plan: harness._chain(
+    InequalityId.CHAIN_27: lambda b, p, setting: harness._chain(
         (0.0, b.wyd(0, p["alpha"])[0], _u_value(*b.wyd(0, p["alpha"])), b.luo_u(0)),
         ("I_alpha>=0", "U_alpha>=I_alpha", "U>=U_alpha")),
 }
@@ -122,9 +122,8 @@ REFERENCE_KERNELS = {
 
 @functools.cache
 def default_entries():
-    """The default campaign's entries, one per id at least, with their plans."""
-    config = harness.config_from_dict(load_default_config())
-    return [(s, harness._plan(s)) for s in config.inequalities]
+    """The default campaign's entries, one per id at least."""
+    return harness.config_from_dict(load_default_config()).inequalities
 
 
 @st.composite
@@ -134,10 +133,10 @@ def entries(draw, mode):
     draws theirs."""
     unit = st.floats(0.0, 1.0)
     out = []
-    for setting, plan in default_entries():
+    for setting in default_entries():
         names = INEQUALITIES[setting.id].params
         if not names:
-            out.append((setting, plan))
+            out.append(setting)
             continue
         alpha, beta, regime = None, None, setting.regime
         if mode == "cycled" and names == ("alpha",):
@@ -151,7 +150,7 @@ def entries(draw, mode):
             alpha, beta = draw(st.floats(0.05, 2.0)), draw(st.floats(0.05, 2.0))
         elif mode == "fixed":
             alpha = draw(unit)
-        out.append((dataclasses.replace(setting, alpha=alpha, beta=beta, regime=regime), plan))
+        out.append(dataclasses.replace(setting, alpha=alpha, beta=beta, regime=regime))
     return out
 
 
@@ -172,10 +171,10 @@ def test_pair_axis_matches_per_observable_reference(dim, many, mode, data):
     ref = ReferenceBatch(
         lam, element_tables(lam, vectors, obs[0]), element_tables(lam, vectors, obs[1])
     )
-    for ordinal, (setting, plan) in enumerate(data.draw(entries(mode))):
+    for ordinal, setting in enumerate(data.draw(entries(mode))):
         params = harness._block_params(setting, indices, seed, dim, ordinal)
-        got = harness._evaluate_block(setting, batch, params, plan, harness.DEFAULT_SLACK)
-        lhs, rhs, extra = REFERENCE_KERNELS[setting.id](ref, params, plan)
+        got = harness._evaluate_block(setting, batch, params, harness.DEFAULT_SLACK)
+        lhs, rhs, extra = REFERENCE_KERNELS[setting.id](ref, params, setting)
         where = (setting.id.value, dim, size)
         assert repr(got.lhs.tolist()) == repr(np.broadcast_to(lhs, (size,)).tolist()), where
         assert repr(got.rhs.tolist()) == repr(np.broadcast_to(rhs, (size,)).tolist()), where

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from skewlab import functions, harness
+from skewlab import functions
 from skewlab.functions import (
     Const,
     Exp,
@@ -332,8 +332,8 @@ def two_step_pair_plan(triple: FunctionTriple):
 
 
 def pair_plan(triple: FunctionTriple):
-    plan = harness._plan(InequalitySetting(InequalityId.COR41_PAIR, triple=triple))
-    return plan.assumption, plan.beta
+    setting = InequalitySetting(InequalityId.COR41_PAIR, triple=triple)
+    return setting.assumption, setting.coefficient
 
 
 # a zero-constant g is left out: its log is -inf, which check_assumption reads
