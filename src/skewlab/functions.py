@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -64,7 +64,9 @@ class ScalarFunction:
     the domain [eps, 1] of the triple or pair it belongs to.
 
     Subclasses provide value/deriv/log_value; log_deriv defaults to
-    deriv/value. All evaluators accept scalars or numpy arrays.
+    deriv/value. All evaluators accept scalars or numpy arrays. Each catalog
+    class names its JSON ``kind``, and its dataclass fields are the spec's
+    other keys.
     """
 
     def value(self, x):
@@ -92,6 +94,7 @@ class ScalarFunction:
 class Power(ScalarFunction):
     """x**p. Negative exponents are admissible thanks to the domain floor."""
 
+    kind = "power"
     p: float
 
     def value(self, x):
@@ -111,6 +114,7 @@ class Power(ScalarFunction):
 class Exp(ScalarFunction):
     """exp(a * x)."""
 
+    kind = "exp"
     a: float
 
     def value(self, x):
@@ -130,6 +134,7 @@ class Exp(ScalarFunction):
 class Const(ScalarFunction):
     """Constant c >= 0."""
 
+    kind = "const"
     c: float
 
     def __post_init__(self):
@@ -142,14 +147,12 @@ class Const(ScalarFunction):
     def deriv(self, x):
         return np.zeros_like(np.asarray(x, dtype=float))
 
-    def log_deriv(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
 
 @dataclass(frozen=True)
 class ScaledSum(ScalarFunction):
     """Nonnegative combination sum_k c_k * x**p_k with all c_k >= 0."""
 
+    kind = "scaled_sum"
     terms: tuple[tuple[float, float], ...]  # (coefficient, exponent)
 
     def __post_init__(self):
@@ -177,12 +180,7 @@ class ScaledSum(ScalarFunction):
         return out
 
 
-_FUNCTION_FIELDS = {
-    "power": ("p",),
-    "exp": ("a",),
-    "const": ("c",),
-    "scaled_sum": ("terms",),
-}
+_KINDS = {cls.kind: cls for cls in (Power, Exp, Const, ScaledSum)}
 
 
 def function_from_spec(doc: dict) -> ScalarFunction:
@@ -191,25 +189,23 @@ def function_from_spec(doc: dict) -> ScalarFunction:
         raise ValueError(f"function spec must be an object with a 'kind': {doc!r}")
     doc = dict(doc)
     kind = doc.pop("kind")
-    if not isinstance(kind, str) or kind not in _FUNCTION_FIELDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ValueError(f"unknown function kind {kind!r}")
     if "eps" in doc:
         raise ValueError(
             "a function spec takes no 'eps': eps is set once, on the triple or the "
             "COR41_PAIR entry"
         )
-    missing = [k for k in _FUNCTION_FIELDS[kind] if k not in doc]
+    cls = _KINDS[kind]
+    names = [f.name for f in fields(cls)]
+    missing = [k for k in names if k not in doc]
     if missing:
         raise ValueError(f"function spec of kind {kind!r} misses fields {missing}")
-    extra = set(doc) - set(_FUNCTION_FIELDS[kind])
+    extra = set(doc) - set(names)
     if extra:
         raise ValueError(f"unknown keys in function spec: {sorted(extra)}")
-    if kind == "power":
-        return Power(p=_real("p", doc["p"]))
-    if kind == "exp":
-        return Exp(a=_real("a", doc["a"]))
-    if kind == "const":
-        return Const(c=_real("c", doc["c"]))
+    if cls is not ScaledSum:
+        return cls(**{name: _real(name, doc[name]) for name in names})
     terms = doc["terms"]
     if not isinstance(terms, (list, tuple)) or not all(
         isinstance(t, (list, tuple)) and len(t) == 2 for t in terms
@@ -224,15 +220,14 @@ def function_from_spec(doc: dict) -> ScalarFunction:
 
 
 def function_to_spec(fn: ScalarFunction) -> dict:
-    if isinstance(fn, Power):
-        return {"kind": "power", "p": fn.p}
-    if isinstance(fn, Exp):
-        return {"kind": "exp", "a": fn.a}
-    if isinstance(fn, Const):
-        return {"kind": "const", "c": fn.c}
-    if isinstance(fn, ScaledSum):
-        return {"kind": "scaled_sum", "terms": [[c, p] for c, p in fn.terms]}
-    raise TypeError(f"cannot serialize {type(fn).__name__}")
+    """The JSON description of a catalog function, or of an instance of a
+    subclass of one, which serializes as that catalog kind."""
+    cls = next((c for c in _KINDS.values() if isinstance(fn, c)), None)
+    if cls is None:
+        raise TypeError(f"cannot serialize {type(fn).__name__}")
+    if cls is ScaledSum:
+        return {"kind": cls.kind, "terms": [[c, p] for c, p in fn.terms]}
+    return {"kind": cls.kind, **{f.name: getattr(fn, f.name) for f in fields(cls)}}
 
 
 def _check_eps(eps: float) -> None:
@@ -553,8 +548,10 @@ def l_value(triple: FunctionTriple, x: float, y: float) -> float:
     Otherwise a zero numerator is returned as it is, sign included, as in
     ``l_scan_min``, also where d**2 underflows to 0. The diagonal x == y is
     rejected (0/0), and so, with DomainError, is a point outside the
-    triple's domain [eps, 1].
+    triple's domain [eps, 1] or a NaN.
     """
+    if math.isnan(x) or math.isnan(y):
+        raise DomainError(f"l_value needs points in [eps, 1], got ({x!r}, {y!r})")
     if x == y:
         raise ValueError("diagonal x == y is excluded")
     lo, hi = min(x, y), max(x, y)
@@ -776,8 +773,8 @@ class Lemma41Report:
 
 
 @functools.lru_cache(maxsize=1)
-def _default_r_grid(rmax: float, steps: int) -> np.ndarray:
-    """The read-only default grid of ``lemma41_check``: ``steps`` points on
+def _lemma41_grid(rmax: float, steps: int) -> np.ndarray:
+    """The read-only grid of ``lemma41_check``: ``steps`` points on
     [-rmax, rmax] minus the band |r| < 1e-4, kept for the last size used."""
     grid = np.linspace(-rmax, rmax, steps)
     grid = grid[np.abs(grid) >= 1e-4]
@@ -789,7 +786,6 @@ def lemma41_check(
     a: float,
     b: float,
     c: float,
-    r_grid=None,
     *,
     rmax: float = 10.0,
     steps: int = 2000,
@@ -809,10 +805,9 @@ def lemma41_check(
     naming the first such r, so that no inf margin reads as a pass. An rhs
     that overflows raises OverflowError naming a, b and c.
 
-    The default grid (``steps`` points on [-rmax, rmax]) is built once and
-    shared, read-only, by every report of the same (rmax, steps); a grid
-    passed in is filtered into an array of its own. The margins are the
-    array ``lemma41_lhs`` returns, with rhs subtracted in place.
+    The grid (``steps`` points on [-rmax, rmax]) is built once and shared,
+    read-only, by every report of the same (rmax, steps). The margins are
+    the array ``lemma41_lhs`` returns, with rhs subtracted in place.
     """
     for name, value in (("a", a), ("b", b), ("c", c), ("rmax", rmax)):
         if not math.isfinite(value):
@@ -833,26 +828,17 @@ def lemma41_check(
         raise OverflowError(
             f"lemma41 rhs 16ab/(a+b+c)^2 overflows at a = {a!r}, b = {b!r}, c = {c!r}"
         )
-    if r_grid is None:
-        if not math.isfinite(2.0 * rmax):
-            raise ValueError(
-                f"rmax = {rmax!r} is too large: the grid's width 2 * rmax overflows"
-            )
-        r_grid = _default_r_grid(rmax, steps)
-    else:
-        r_grid = np.asarray(r_grid, dtype=float)
-        finite = np.isfinite(r_grid)
-        if not finite.all():
-            raise ValueError(
-                f"r grid point {float(r_grid.flat[np.argmin(finite)])!r} is not finite"
-            )
-        r_grid = r_grid[np.abs(r_grid) >= 1e-4]
-    if r_grid.size == 0:
+    if not math.isfinite(2.0 * rmax):
+        raise ValueError(
+            f"rmax = {rmax!r} is too large: the grid's width 2 * rmax overflows"
+        )
+    grid = _lemma41_grid(rmax, steps)
+    if grid.size == 0:
         raise ValueError("r grid is empty after excluding the |r| < 1e-4 band")
-    margins = lemma41_lhs(a, b, c, r_grid)
+    margins = lemma41_lhs(a, b, c, grid)
     finite = np.isfinite(margins)
     if not finite.all():
-        bad = float(r_grid[np.argmin(finite)])
+        bad = float(grid[np.argmin(finite)])
         raise ValueError(
             f"lemma41 lhs is not finite at r = {bad!r} (a={a}, b={b}, c={c}): "
             "its exponentials overflow there, so choose a smaller rmax"
@@ -867,9 +853,9 @@ def lemma41_check(
         c=c,
         rhs=rhs,
         min_margin=float(margins[worst]),
-        argmin_r=float(r_grid[worst]),
+        argmin_r=float(grid[worst]),
         violations=violations,
         limit_gap=limit_gap,
-        r_grid=r_grid,
+        r_grid=grid,
         margins=margins,
     )

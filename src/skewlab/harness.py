@@ -237,12 +237,12 @@ class CampaignConfig:
             raise ConfigError("slack must be nonnegative")
         # a sampled state's smallest eigenvalue is at least delta / n
         floor = self.delta / max(self.dims)
-        for s in self.inequalities:
+        for k, s in enumerate(self.inequalities):
             if s.triple is not None and s.triple.eps > floor:
                 raise ConfigError(
-                    f"{s.id.value}: the functions' domain floor eps = {s.triple.eps:g} "
-                    f"exceeds delta / n = {floor:g} at dim {max(self.dims)}, so sampled "
-                    "states could fall below it"
+                    f"inequalities[{k}]: bad {s.id.value} entry: the functions' domain floor "
+                    f"eps = {s.triple.eps:g} exceeds delta / n = {floor:g} at dim "
+                    f"{max(self.dims)}, so sampled states could fall below it"
                 )
 
     def to_dict(self) -> dict:

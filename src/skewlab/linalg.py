@@ -266,9 +266,12 @@ class MatrixElementTable:
 
     ``entries[i, j]`` is the matrix element of H - Tr[rho H] I between the
     i-th and j-th eigenvectors of rho; the table is conjugate-symmetric.
+    ``decomp`` refers to rho's decomposition weakly, as that decomposition
+    keeps the table in its ``pair_cache``.
     """
 
     entries: np.ndarray
+    decomp: weakref.ref = field(repr=False)
 
     @functools.cached_property
     def weights(self) -> np.ndarray:
@@ -289,7 +292,9 @@ def element_table(decomp: SpectralDecomposition, h: HermitianMatrix) -> MatrixEl
         if h.dim != decomp.dim:
             raise ValueError(f"dimension mismatch: {h.dim} vs {decomp.dim}")
         t = element_tables(decomp.eigenvalues[None], decomp.vectors[None], h.entries[None])
-        table = decomp.pair_cache[h] = MatrixElementTable(entries=_read_only(t[0]))
+        table = decomp.pair_cache[h] = MatrixElementTable(
+            entries=_read_only(t[0]), decomp=weakref.ref(decomp)
+        )
     return table
 
 

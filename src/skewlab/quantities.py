@@ -275,6 +275,15 @@ def wyd_family(rho: DensityMatrix, h: HermitianMatrix, alpha: float) -> Quantity
     return bundle
 
 
+def _check_exponents(alpha: float, beta: float) -> None:
+    """The two exponents of ``gwyd_family`` and ``gwyd_tilde_family`` must
+    be finite and nonnegative: an infinite one gives NaN or zero bundles."""
+    if alpha < 0.0 or beta < 0.0:
+        raise ValueError(f"exponents must be nonnegative, got ({alpha}, {beta})")
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise ValueError(f"exponents must be finite, got ({alpha}, {beta})")
+
+
 def gwyd_family(
     rho: DensityMatrix, h: HermitianMatrix, alpha: float, beta: float
 ) -> QuantityBundle:
@@ -283,8 +292,7 @@ def gwyd_family(
     alpha + beta may exceed 1; the resulting negative power of the state is
     well defined because the state is strictly positive.
     """
-    if alpha < 0.0 or beta < 0.0:
-        raise ValueError(f"exponents must be nonnegative, got ({alpha}, {beta})")
+    _check_exponents(alpha, beta)
     lam, w, row = _pair_data(rho, h)
     i_raw, j_raw = _gwyd_ij(lam, w, row, alpha, beta)
     return _bundle("GWYD", {"alpha": alpha, "beta": beta}, lam, row, i_raw, j_raw)
@@ -295,8 +303,7 @@ def gwyd_tilde_family(
 ) -> QuantityBundle:
     """Second two-parameter family: both exponents act on the same side, the
     remaining state weight is rho^(alpha+beta)."""
-    if alpha < 0.0 or beta < 0.0:
-        raise ValueError(f"exponents must be nonnegative, got ({alpha}, {beta})")
+    _check_exponents(alpha, beta)
     lam, w, row = _pair_data(rho, h)
     i_raw, j_raw = _tilde_ij(lam, w, row, alpha, beta)
     return _bundle("GWYD_TILDE", {"alpha": alpha, "beta": beta}, lam, row, i_raw, j_raw)
@@ -341,7 +348,10 @@ def fgh_eigensum(
     table: MatrixElementTable,
     triple: FunctionTriple,
 ) -> EigenSum:
-    """Evaluate the (f, g, h) family as explicit sums over eigenvalue pairs."""
+    """Evaluate the (f, g, h) family as explicit sums over eigenvalue pairs.
+    The table must be ``element_table(decomp, H)`` of this same ``decomp``."""
+    if table.decomp() is not decomp:
+        raise ValueError("element table was not built on this decomposition")
     lam = decomp.eigenvalues
     w = table.weights
     fv, gv, hv = _triple_values(triple, lam)

@@ -381,6 +381,30 @@ class TestVerify:
                    "h = Power(p=-300.0) is not finite at x = 1e-06\n"
         )
 
+    def test_domain_floor_error_names_its_entry(self, tmp_path, capsys):
+        # it read "error: THM31_FGH: the functions' domain floor ...", so two
+        # THM31_FGH entries could not be told apart
+        late = {"id": "THM31_FGH", "triple": dict(json.loads(QUARTER), eps=1e-3)}
+        entries = [{"id": "THM31_FGH", "triple": json.loads(QUARTER)}, late]
+        doc = dict(small_config_doc(), dims=[2, 8], inequalities=entries)
+        assert main(["verify", write_config(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: inequalities[1]: bad THM31_FGH entry: the functions' domain floor "
+            "eps = 0.001 exceeds delta / n = 0.000125 at dim 8, so sampled states "
+            "could fall below it\n"
+        )
+        # counterexample --entry builds a one-entry campaign at --dim 2
+        assert main(["counterexample", "--entry", json.dumps(late)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: inequalities[0]: bad THM31_FGH entry: the functions' domain floor "
+            "eps = 0.001 exceeds delta / n = 0.0005 at dim 2, so sampled states "
+            "could fall below it\n"
+        )
+
     def test_missing_file_exit_two(self):
         assert main(["verify", "/nonexistent/config.json"]) == 2
 

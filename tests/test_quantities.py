@@ -206,6 +206,26 @@ class TestGwydFamily:
         with pytest.raises(ValueError, match="nonnegative"):
             gwyd_family(rho, HermitianMatrix(SX), -0.1, 0.5)
 
+    @pytest.mark.parametrize("family", [gwyd_family, gwyd_tilde_family])
+    @pytest.mark.parametrize("alpha, beta", [
+        (math.nan, 0.2), (0.2, math.nan), (math.inf, 0.2), (0.2, math.inf),
+    ])
+    def test_rejects_exponent_that_is_not_finite(self, family, alpha, beta):
+        # a NaN ended in "bundle values must be finite"; an infinite exponent
+        # warned in gwyd_family and gave I = J = U = 0 in gwyd_tilde_family
+        rng = np.random.default_rng(14)
+        rho, h = random_density(3, rng), random_hermitian(3, rng)
+        with pytest.raises(ValueError) as err:
+            family(rho, h, alpha, beta)
+        assert str(err.value) == f"exponents must be finite, got ({alpha}, {beta})"
+
+    @pytest.mark.parametrize("family", [gwyd_family, gwyd_tilde_family])
+    @pytest.mark.parametrize("alpha, beta", [(-math.inf, 0.2), (math.nan, -0.1)])
+    def test_negative_exponent_rejected_before_a_non_finite_one(self, family, alpha, beta):
+        rho = DensityMatrix(np.eye(2) / 2)
+        with pytest.raises(ValueError, match="exponents must be nonnegative"):
+            family(rho, HermitianMatrix(SX), alpha, beta)
+
     @pytest.mark.parametrize("regime", ["small", "sum_above_one"])
     def test_skew_matches_high_precision_pair_sum(self, regime):
         # I = 1/2 sum_ij w_ij l_i^(1-a-b) (l_i^a - l_j^a)(l_i^b - l_j^b),
@@ -469,6 +489,31 @@ class TestEigensum:
             s = fgh_eigensum(d, element_table(d, h), t)
             assert s.J_pairsum <= b.J + 1e-10
             assert s.J_diag >= -1e-15
+
+    @pytest.mark.parametrize("n_decomp, n_table", [(3, 4), (4, 3), (4, 4)])
+    def test_table_of_another_decomposition_rejected(self, n_decomp, n_table):
+        # a 4-dim table on a 3-dim decomposition raised numpy's broadcast
+        # error, a 3-dim one on a 4-dim decomposition an IndexError, and the
+        # table of another state of the same dimension gave another EigenSum
+        rng = np.random.default_rng(19)
+        t = FunctionTriple(Power(p=0.25), Power(p=0.25), Power(p=0.5))
+        d = hermitian_eigen(random_density(n_decomp, rng))
+        other = hermitian_eigen(random_density(n_table, rng))
+        h = random_hermitian(n_table, rng)
+        with pytest.raises(ValueError) as err:
+            fgh_eigensum(d, element_table(other, h), t)
+        assert str(err.value) == "element table was not built on this decomposition"
+
+    def test_table_of_a_temporary_observable_accepted(self):
+        rng = np.random.default_rng(20)
+        t = FunctionTriple(Power(p=0.25), Power(p=0.25), Power(p=0.5))
+        d = hermitian_eigen(random_density(4, rng))
+        x = random_hermitian(4, rng).entries
+        s = fgh_eigensum(d, element_table(d, HermitianMatrix(x)), t)
+        gc.collect()
+        assert len(d.pair_cache) == 0   # the table's own observable is gone
+        h = HermitianMatrix(x)
+        assert fgh_eigensum(d, element_table(d, h), t) == s
 
 
 class TestLuoU:
