@@ -13,7 +13,6 @@ from .functions import (
     beta_coefficient,
     check_assumption,
     classify_pair,
-    cor41_beta,
     function_from_spec,
     l_scan_min,
     l_value,
@@ -44,7 +43,6 @@ from .linalg import (
     SpectralDecomposition,
     element_table,
     hermitian_eigen,
-    matrix_from_json,
     matrix_to_json,
 )
 from .quantities import (

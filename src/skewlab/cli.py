@@ -15,11 +15,9 @@ from importlib import resources
 
 from .functions import (
     Assumption,
-    Const,
     check_assumption,
     classify_pair,
     beta_coefficient,
-    cor41_beta,
     l_scan_min,
     lemma41_check,
     ratio_bounds,
@@ -101,8 +99,6 @@ def _cmd_beta(args) -> int:
     if assumption is Assumption.NEITHER:
         print("warning: triple satisfies neither condition; beta carries no guarantee",
               file=sys.stderr)
-    if isinstance(triple.h, Const):
-        print(f"beta_pair_alternative = {_fmt(cor41_beta(bounds.m_g, bounds.M_g))}")
     return 0
 
 

@@ -36,7 +36,6 @@ __all__ = [
     "check_assumption",
     "ratio_bounds",
     "beta_coefficient",
-    "cor41_beta",
     "l_value",
     "l_scan_min",
     "LScanResult",
@@ -526,18 +525,6 @@ def beta_coefficient(bounds: RatioBounds) -> float:
                     f"beta corner k/(1+k+l)^2 overflows at k = {k!r}, l = {ell!r}"
                 ) from None
     return max(min(corners), 0.0)
-
-
-def cor41_beta(m: float, big_m: float) -> float:
-    """Alternative pair-only coefficient min{m, M} / (m + M)^2.
-
-    Kept for side-by-side comparison with the uniform four-corner formula;
-    the two disagree except when the ratio's sup equals 1.
-    """
-    den = m + big_m
-    if abs(den) <= 1e-12:
-        raise ValueError("degenerate denominator: m + M vanishes")
-    return min(m / den**2, big_m / den**2)
 
 
 def l_value(triple: FunctionTriple, x: float, y: float) -> float:

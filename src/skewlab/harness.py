@@ -1174,7 +1174,6 @@ def search_counterexample(
     seed: int,
     *,
     dim: int = 2,
-    delta: float = DEFAULT_DELTA,
     slack: float = DEFAULT_SLACK,
 ) -> SampleRecord | None:
     """Scan seeded samples for the first violating instance.
@@ -1189,7 +1188,7 @@ def search_counterexample(
     setting = _as_setting(setting)
     config = CampaignConfig(
         seed=seed, dims=(dim,), samples_per_dim=budget, inequalities=(setting,),
-        delta=delta, slack=slack,
+        slack=slack,
     )
     for dim, start, stop in _blocks(config):
         entry = _block_rows(config, dim, start, stop)[0]
@@ -1197,7 +1196,7 @@ def search_counterexample(
         if len(failed):
             k = int(failed[0])
             record = _record(setting, entry, k, dim, start + k)
-            sample = _replay(seed, delta, {(dim, start + k)})[dim, start + k]
+            sample = _replay(seed, config.delta, {(dim, start + k)})[dim, start + k]
             record.state, record.obs_a, record.obs_b = sample
             return record
     return None

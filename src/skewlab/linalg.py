@@ -27,7 +27,6 @@ __all__ = [
     "element_table",
     "matrix_to_json",
     "matrix_json_text",
-    "matrix_from_json",
 ]
 
 # Numerical thresholds, fixed: every invariant check reads its level here.
@@ -345,12 +344,3 @@ def matrix_json_text(a, level: int) -> str:
         )
         entries = "[" + pad[2] + "[" + pad[3] + pairs + pad[2] + "]" + pad[1] + "]"
     return "{" + pad[1] + f'"dim": {n},' + pad[1] + '"entries": ' + entries + pad[0] + "}"
-
-
-def matrix_from_json(doc: dict) -> np.ndarray:
-    n = int(doc["dim"])
-    entries = doc["entries"]
-    if len(entries) != n * n:
-        raise ValueError(f"expected {n * n} entries, got {len(entries)}")
-    flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
-    return flat.reshape(n, n)

@@ -88,15 +88,6 @@ class QuantityBundle:
                     f"U^2 = {self.U**2!r} does not match I*J = {prod!r}"
                 )
 
-    def to_json(self) -> dict:
-        return {
-            "family": {"kind": self.family, **self.params},
-            "I": self.I,
-            "J": self.J,
-            "U": self.U,
-            "V": self.V,
-        }
-
 
 def _pair_data(
     rho: DensityMatrix, h: HermitianMatrix

@@ -425,7 +425,7 @@ class TestBeta:
         assert float(vals["m_h"]) == 2.0
         assert vals["assumption"] == "I"
 
-    def test_constant_h_shows_alternative(self, capsys):
+    def test_constant_h_prints_no_pair_only_beta(self, capsys):
         triple = json.dumps({
             "f": {"kind": "power", "p": 0.3},
             "g": {"kind": "power", "p": 0.6},
@@ -433,9 +433,9 @@ class TestBeta:
         })
         assert main(["beta", "--triple", triple]) == 0
         vals = parsed_values(capsys.readouterr().out)
-        # uniform formula: k/(1+k)^2 with k = 2; alternative: min{k,k}/(2k)^2
+        # uniform formula: k/(1+k)^2 with k = 2, the only coefficient printed
         assert float(vals["beta"]) == pytest.approx(2 / 9, rel=1e-12)
-        assert float(vals["beta_pair_alternative"]) == pytest.approx(1 / 8, rel=1e-12)
+        assert set(vals) == {"m_g", "M_g", "m_h", "M_h", "beta", "assumption"}
 
     def test_negative_h_assumption_two(self, capsys):
         triple = json.dumps({

@@ -24,7 +24,6 @@ from skewlab.functions import (
     beta_coefficient,
     check_assumption,
     classify_pair,
-    cor41_beta,
     function_from_spec,
     function_to_spec,
     l_scan_min,
@@ -35,7 +34,9 @@ from skewlab.functions import (
     triple_from_spec,
     triple_to_spec,
 )
-from skewlab.linalg import DomainError
+from skewlab.cli import load_default_config
+from skewlab.harness import InequalityId, config_from_dict, evaluate_inequality
+from skewlab.linalg import DensityMatrix, DomainError, HermitianMatrix
 
 
 class TestEvaluators:
@@ -310,12 +311,21 @@ class TestBetaCoefficient:
         expected = alpha * beta / (alpha + beta + gamma) ** 2
         assert beta_coefficient(ratio_bounds(t)) == pytest.approx(expected, abs=1e-12)
 
-    def test_pair_alternative(self):
-        # constant ratio k: min{k, k}/(2k)^2 = 1/(4k)
-        assert cor41_beta(2 / 3, 2 / 3) == pytest.approx(3 / 8)
-        assert cor41_beta(1.0, 1.0) == pytest.approx(0.25)
-        with pytest.raises(ValueError, match="degenerate"):
-            cor41_beta(-1.0, 1.0)
+    def test_pair_only_coefficient_fails_on_cor41_rhs(self):
+        # lhs / |Tr fgh(rho)[A, B]|^2 on a near-maximally mixed qubit falls to
+        # the four-corner beta = 0.24 of (x^1/2, x^1/3, 1), below the 0.375
+        # that min{m, M}/(m + M)^2 gives at m = M = 2/3
+        (pair,) = [s for s in config_from_dict(load_default_config()).inequalities
+                   if s.id is InequalityId.COR41_PAIR]
+        rho = DensityMatrix(np.diag([0.499, 0.501]).astype(complex))
+        sx = HermitianMatrix(np.array([[0, 1], [1, 0]], dtype=complex))
+        sy = HermitianMatrix(np.array([[0, -1j], [1j, 0]], dtype=complex))
+        rec = evaluate_inequality(pair, rho, sx, sy)
+        assert rec.passed
+        reached = rec.lhs * pair.coefficient / rec.rhs
+        assert 0.2399 <= reached <= 0.2401
+        pair_only = min(2 / 3, 2 / 3) / (2 / 3 + 2 / 3) ** 2
+        assert pair_only == 0.375 and reached < pair_only
 
 
 class TestGridSizes:

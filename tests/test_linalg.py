@@ -13,8 +13,6 @@ from skewlab.linalg import (
     element_table,
     hermitian_eigen,
     hermitian_stack,
-    matrix_from_json,
-    matrix_to_json,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -301,17 +299,3 @@ class TestElementTable:
             b = random_hermitian(4, rng)
             val = np.trace(rho.entries @ (a @ b - b @ a))
             assert abs(val.real) < 1e-12
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        rng = np.random.default_rng(17)
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        doc = matrix_to_json(a)
-        assert doc["dim"] == 3
-        assert len(doc["entries"]) == 9
-        np.testing.assert_array_equal(matrix_from_json(doc), a)
-
-    def test_bad_length(self):
-        with pytest.raises(ValueError, match="entries"):
-            matrix_from_json({"dim": 2, "entries": [[0.0, 0.0]]})

@@ -588,9 +588,3 @@ class TestBundle:
     def test_validation_finite(self):
         with pytest.raises(ValueError, match="finite"):
             QuantityBundle(family="WYD", params={}, I=math.nan, J=1.0, U=1.0, V=1.0)
-
-    def test_json_shape(self):
-        rho = DensityMatrix(np.diag([0.75, 0.25]))
-        doc = wyd_family(rho, HermitianMatrix(SX), 0.5).to_json()
-        assert set(doc) == {"family", "I", "J", "U", "V"}
-        assert doc["family"] == {"kind": "WYD", "alpha": 0.5}
