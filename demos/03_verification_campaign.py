@@ -19,7 +19,7 @@ config = config_from_dict({
         {"id": "SCHRODINGER"},
         {"id": "LUO_23"},
         {"id": "THM21_WYD", "alpha": [0.1, 0.3, 0.5, 0.7, 0.9]},
-        {"id": "THM22_GWYD", "regime": "both"},
+        {"id": "THM22_GWYD"},
         {"id": "THM23_TILDE"},
         {"id": "THM31_FGH", "triple": {
             "f": {"kind": "power", "p": 0.25},

@@ -47,7 +47,6 @@ from .linalg import (
 )
 from .quantities import (
     QuantityBundle,
-    covariance,
     fgh_eigensum,
     fgh_family,
     gwyd_family,

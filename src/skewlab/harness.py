@@ -2,10 +2,11 @@
 
 Every fact about one inequality id lives in its ``Inequality`` record in
 ``INEQUALITIES``: the kernel, the names of its per-sample parameters, how
-they are drawn and where they are valid, the entry keys it accepts, whether
-it takes a function triple or an (f, g) pair and the premise those must
-meet, and whether a PASS is expected. Campaigns, ``evaluate_inequality`` and
-``search_counterexample`` all evaluate through the same block path.
+they are drawn and where they are valid, whether it takes a function triple
+or an (f, g) pair and the premise those must meet, and whether a PASS is
+expected. A config entry's keys follow from its parameters and functions.
+Campaigns, ``evaluate_inequality`` and ``search_counterexample`` all
+evaluate through the same block path.
 
 Sampling is counter-based: every (dim, sample-index) pair owns a Philox
 stream, so campaigns are reproducible bit-for-bit regardless of how samples
@@ -115,9 +116,8 @@ class InequalitySetting:
 
     ``alpha`` may be a number (fixed), a tuple (cycled over sample indices)
     or None (drawn per sample by the id's sampler). The two-parameter
-    families take (alpha, beta) fixed whole or drawn whole; THM22_GWYD may
-    instead carry a regime tag restricting where the pair is drawn. Fixed
-    and cycled values must pass the id's domain check.
+    families take (alpha, beta) fixed whole or drawn whole. Fixed and cycled
+    values must pass the id's domain check.
 
     For THM31_FGH and COR41_PAIR, construction decides which of conditions
     I and II the triple meets (``assumption``) and the corner coefficient
@@ -128,7 +128,6 @@ class InequalitySetting:
     id: InequalityId
     alpha: float | tuple[float, ...] | None = None
     beta: float | None = None
-    regime: str | None = None            # "low" | "high" | "both"
     triple: FunctionTriple | None = None
     assert_pass: bool | None = None
     assumption: Assumption | None = field(default=None, init=False, compare=False)
@@ -147,11 +146,6 @@ class InequalitySetting:
                 raise ConfigError(f"{name} takes no {param} parameter")
         if self.alpha == ():
             raise ConfigError(f"{name}: a cycled alpha needs at least one value")
-        if self.regime is not None:
-            if "regime" not in record.keys:
-                raise ConfigError(f"{name} takes no regime tag")
-            if self.regime not in ("low", "high", "both"):
-                raise ConfigError(f"unknown regime {self.regime!r}")
         if self.triple is not None and record.functions is None:
             raise ConfigError(f"{name} takes no function triple")
         if self.triple is None and record.functions is not None:
@@ -164,9 +158,6 @@ class InequalitySetting:
                 f"fixed {name} parameters need scalar alpha and beta, set together"
             )
         if drawn == {False}:
-            if self.regime is not None:
-                # a tag restricts only where a drawn pair is drawn
-                raise ConfigError(f"{name} takes no regime tag with a fixed alpha and beta")
             record.check(dict(zip(record.params, (np.asarray(v) for v in fixed))))
         if record.premise is not None:
             assumption = check_assumption(self.triple)
@@ -187,8 +178,6 @@ class InequalitySetting:
             doc["alpha"] = list(self.alpha) if isinstance(self.alpha, tuple) else self.alpha
         if self.beta is not None:
             doc["beta"] = self.beta
-        if self.regime is not None:
-            doc["regime"] = self.regime
         if self.triple is not None:
             if INEQUALITIES[self.id].functions == "pair":
                 doc["f"] = function_to_spec(self.triple.f)
@@ -262,36 +251,32 @@ _TOP_KEYS = {"seed", "dims", "samples_per_dim", "delta", "slack", "inequalities"
 def _setting_from_entry(doc: dict) -> InequalitySetting:
     if not isinstance(doc, dict) or "id" not in doc:
         raise ConfigError(f"inequality entry must be an object with an 'id': {doc!r}")
-    doc = dict(doc)
-    raw_id = doc.pop("id")
     try:
-        ineq = InequalityId(raw_id)
+        ineq = InequalityId(doc["id"])
     except ValueError:
-        raise ConfigError(f"unknown inequality id {raw_id!r}") from None
-    assert_pass = doc.pop("assert_pass", None)
-    if assert_pass is not None and not isinstance(assert_pass, bool):
+        raise ConfigError(f"unknown inequality id {doc['id']!r}") from None
+    assert_pass = doc.get("assert_pass")
+    if "assert_pass" in doc and not isinstance(assert_pass, bool):
         raise ConfigError("assert_pass must be a boolean")
     record = INEQUALITIES[ineq]
-    unknown = set(doc) - {*record.params, *record.keys}
+    functions = {"triple": ("triple",), "pair": ("f", "g", "eps")}.get(record.functions, ())
+    unknown = set(doc) - {"id", "assert_pass", *record.params, *functions}
     if unknown:
         raise ConfigError(f"unknown keys for {ineq.value}: {sorted(unknown)}")
     try:
         triple = None
         if record.functions == "triple":
-            triple = triple_from_spec(doc.pop("triple"))
+            triple = triple_from_spec(doc["triple"])
         elif record.functions == "pair":
-            eps = _real("eps", doc.pop("eps", DEFAULT_EPS))
-            f = function_from_spec(doc.pop("f"))
-            g = function_from_spec(doc.pop("g"))
+            eps = _real("eps", doc.get("eps", DEFAULT_EPS))
+            f = function_from_spec(doc["f"])
+            g = function_from_spec(doc["g"])
             triple = FunctionTriple(f=f, g=g, h=Const(c=1.0), eps=eps)
-        return InequalitySetting(
-            id=ineq,
-            alpha=doc.pop("alpha", None),
-            beta=doc.pop("beta", None),
-            regime=doc.pop("regime", None),
-            triple=triple,
-            assert_pass=assert_pass,
-        )
+        params = {name: doc[name] for name in record.params if name in doc}
+        for name, value in params.items():
+            if value is None:   # a JSON null, which would read as a drawn parameter
+                _real(name, value)
+        return InequalitySetting(id=ineq, **params, triple=triple, assert_pass=assert_pass)
     except KeyError as exc:
         raise ConfigError(f"{ineq.value} entry misses field {exc}") from exc
     except (ValueError, TypeError, OverflowError) as exc:
@@ -530,7 +515,7 @@ def _block_params(
     if _draws_params(setting):
         if draws is None:
             draws = _param_draws(seed, dim, indices, ordinal)
-        return record.sampler(draws, setting)
+        return record.sampler(draws)
     fixed = {name: getattr(setting, name) for name in record.params}
     return {
         name: np.asarray(value)[indices % len(value)]
@@ -632,19 +617,18 @@ def _check_thm23(params: dict) -> None:
 # per-sample parameter arrays inside the validity region.
 
 
-def _draw_unit_alpha(u: np.ndarray, setting: InequalitySetting) -> dict:
+def _draw_unit_alpha(u: np.ndarray) -> dict:
     return {"alpha": u[:, 0]}
 
 
-def _draw_thm22(u: np.ndarray, setting: InequalitySetting) -> dict:
-    regime = setting.regime or "both"
-    low = (regime == "low") | ((regime == "both") & (u[:, 0] < 0.5))
-    s = np.where(low, 0.5 * u[:, 1], 1.0 + u[:, 1])
+def _draw_thm22(u: np.ndarray) -> dict:
+    # alpha + beta in [0, 1/2] or in [1, 2], each with probability 1/2
+    s = np.where(u[:, 0] < 0.5, 0.5 * u[:, 1], 1.0 + u[:, 1])
     alpha = s * u[:, 2]
     return {"alpha": alpha, "beta": s - alpha}
 
 
-def _draw_thm23(u: np.ndarray, setting: InequalitySetting) -> dict:
+def _draw_thm23(u: np.ndarray) -> dict:
     return {"alpha": 0.05 + 1.95 * u[:, 0], "beta": 0.05 + 1.95 * u[:, 1]}
 
 
@@ -725,9 +709,8 @@ class Inequality:
     # params, each a per-sample array or one value)
     kernel: Callable
     params: tuple[str, ...] = ()       # names of the per-sample parameters
-    sampler: Callable | None = None    # (uniform draws [S, 4], setting) -> params
+    sampler: Callable | None = None    # uniform draws [S, 4] -> params
     check: Callable | None = None      # params -> None, or raises ConfigError
-    keys: tuple[str, ...] = ()         # entry keys besides id, assert_pass and params
     functions: str | None = None       # "triple", "pair", or None for no functions
     premise: str | None = None         # raised when check_assumption finds neither condition
     expect_pass: bool = True           # False: the bound fails by design
@@ -738,15 +721,15 @@ INEQUALITIES: dict[InequalityId, Inequality] = {
     InequalityId.SCHRODINGER: Inequality(_schrodinger),
     InequalityId.LUO_23: Inequality(_luo23),
     InequalityId.THM21_WYD: Inequality(_thm21, _ALPHA, _draw_unit_alpha, _check_unit_alpha),
-    InequalityId.THM22_GWYD: Inequality(_thm22, _PAIR, _draw_thm22, _check_thm22, ("regime",)),
+    InequalityId.THM22_GWYD: Inequality(_thm22, _PAIR, _draw_thm22, _check_thm22),
     InequalityId.THM23_TILDE: Inequality(_thm23, _PAIR, _draw_thm23, _check_thm23),
     InequalityId.THM31_FGH: Inequality(
-        _fgh, keys=("triple",), functions="triple",
+        _fgh, functions="triple",
         premise="THM31_FGH requires the triple to satisfy one of the two "
                 "divided-difference conditions; this one satisfies neither"),
     # the triple (f, g, 1): condition II holds exactly when (f, g) is monotone
     InequalityId.COR41_PAIR: Inequality(
-        _fgh, keys=("f", "g", "eps"), functions="pair",
+        _fgh, functions="pair",
         premise="COR41_PAIR requires (f, g) to be a monotone pair"),
     InequalityId.CHAIN_24: Inequality(_chain24),
     InequalityId.CHAIN_25: Inequality(_chain25, _ALPHA, _draw_unit_alpha, _check_unit_alpha),
@@ -963,9 +946,12 @@ def _csv_text(c: EntryColumns) -> str:
     """One entry's CSV lines, each ending in a newline: floats as their
     ``repr`` (so ``nan``, ``inf`` and ``-0.0`` keep their text), the pass
     flag as ``true`` or ``false``."""
+    ineq = c.id
     return "".join(
         f"{ineq},{dim},{lhs!r},{rhs!r},{margin!r},{'true' if passed else 'false'}\n"
-        for ineq, dim, _index, lhs, rhs, margin, passed in c.rows()
+        for dim, lhs, rhs, margin, passed in zip(
+            c.dims.tolist(), c.lhs.tolist(), c.rhs.tolist(), c.margin.tolist(), c.passed.tolist()
+        )
     )
 
 

@@ -200,9 +200,6 @@ class SpectralDecomposition:
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.eigenvalues) @ self.vectors.conj().T
-
 
 def hermitian_eigen(a: HermitianMatrix) -> SpectralDecomposition:
     """Full eigendecomposition with residual and orthonormality checks.

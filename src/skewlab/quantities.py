@@ -37,7 +37,6 @@ __all__ = [
     "QuantityBundle",
     "EigenSum",
     "variance",
-    "covariance",
     "wy_skew",
     "wyd_family",
     "gwyd_family",
@@ -222,17 +221,6 @@ def variance(rho: DensityMatrix, h: HermitianMatrix) -> float:
     mean = float(np.trace(rho.entries @ hm).real)
     second = float(np.trace(rho.entries @ hm @ hm).real)
     return _clamped(second - mean**2, "variance")
-
-
-def covariance(rho: DensityMatrix, a: HermitianMatrix, b: HermitianMatrix) -> complex:
-    """Tr[rho (A - <A>)(B - <B>)]; complex in general, real when A == B."""
-    if not (rho.dim == a.dim == b.dim):
-        raise ValueError("dimension mismatch between state and observables")
-    mean_a = float(np.trace(rho.entries @ a.entries).real)
-    mean_b = float(np.trace(rho.entries @ b.entries).real)
-    a0 = a.entries - mean_a * np.eye(a.dim)
-    b0 = b.entries - mean_b * np.eye(b.dim)
-    return complex(np.trace(rho.entries @ a0 @ b0))
 
 
 def wy_skew(rho: DensityMatrix, h: HermitianMatrix) -> float:

@@ -250,6 +250,16 @@ class TestVerify:
     @pytest.mark.parametrize("doc, message", [
         ([], "config must be a JSON object"),
         ({"seed": 1}, "config misses required keys: ['dims', 'samples_per_dim', 'inequalities']"),
+        # a JSON null ran as if the key were absent: a drawn alpha, drawn
+        # exponents, the id's default assert_pass
+        (dict(small_config_doc(), inequalities=[{"id": "THM21_WYD", "alpha": None}]),
+         "inequalities[0]: bad THM21_WYD entry: alpha must be a number, got None"),
+        (dict(small_config_doc(),
+              inequalities=[{"id": "THM23_TILDE", "alpha": None, "beta": None}]),
+         "inequalities[0]: bad THM23_TILDE entry: alpha must be a number, got None"),
+        (dict(small_config_doc(),
+              inequalities=[{"id": "NAIVE_WY_SHOULD_FAIL", "assert_pass": None}]),
+         "inequalities[0]: assert_pass must be a boolean"),
     ])
     def test_malformed_config_exit_two(self, tmp_path, capsys, doc, message):
         out_path = tmp_path / "report.json"
@@ -295,9 +305,9 @@ class TestVerify:
             "g": {"kind": "power", "p": 0.25}, "eps": eps},
            f"bad COR41_PAIR entry: eps must lie in (0, 1), got {float(eps)!r}")
           for eps in (-1, 0, 1, 2)],
-        # the tag was ignored, and the report carried it beside a low-regime pair
+        # THM22_GWYD takes no regime tag, beside a fixed pair or a drawn one
         ({"id": "THM22_GWYD", "alpha": 0.1, "beta": 0.2, "regime": "high"},
-         "bad THM22_GWYD entry: THM22_GWYD takes no regime tag with a fixed alpha and beta"),
+         "inequalities[0]: unknown keys for THM22_GWYD: ['regime']"),
     ])
     def test_non_number_in_function_entry_exit_two(self, tmp_path, capsys, entry, message):
         doc = dict(small_config_doc(), inequalities=[entry])
@@ -865,12 +875,20 @@ class TestCounterexample:
         (["--entry", '{"id": "THM21_WYD", "alpha": "0.5"}'], "alpha must be a number, got '0.5'"),
         (["--entry", '"x"'], "inequality entry must be an object with an 'id': 'x'"),
         (["--entry", '{"id": "LUO_23", "assert_pass": 1}'], "assert_pass must be a boolean"),
-        (["--entry", '{"id": "THM22_GWYD", "regime": "mid"}'],
-         "bad THM22_GWYD entry: unknown regime 'mid'"),
+        # THM22_GWYD draws each half of its domain with probability 1/2 and takes no tag
+        (["--entry", '{"id": "THM22_GWYD", "regime": "both"}'],
+         "unknown keys for THM22_GWYD: ['regime']"),
         (["--entry", '{"id": "THM22_GWYD", "alpha": -0.1, "beta": 0.2}'],
          "bad THM22_GWYD entry: THM22 exponents must be nonnegative: (-0.1, 0.2)"),
-        (["--entry", '{"id": "THM22_GWYD", "alpha": 0.1, "beta": 0.2, "regime": "high"}'],
-         "bad THM22_GWYD entry: THM22_GWYD takes no regime tag with a fixed alpha and beta"),
+        # a JSON null is not an omitted value
+        (["--entry", '{"id": "THM21_WYD", "alpha": null}'],
+         "bad THM21_WYD entry: alpha must be a number, got None"),
+        (["--entry", '{"id": "THM23_TILDE", "alpha": null, "beta": null}'],
+         "bad THM23_TILDE entry: alpha must be a number, got None"),
+        (["--entry", '{"id": "THM22_GWYD", "alpha": 0.1, "beta": null}'],
+         "bad THM22_GWYD entry: beta must be a number, got None"),
+        (["--entry", '{"id": "NAIVE_WY_SHOULD_FAIL", "assert_pass": null}'],
+         "assert_pass must be a boolean"),
     ])
     def test_bad_entry_exit_two(self, capsys, argv, message):
         assert main(["counterexample", "--budget", "5", *argv]) == 2

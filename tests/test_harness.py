@@ -4,6 +4,7 @@ import concurrent.futures
 import json
 import operator
 import pickle
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -44,6 +45,8 @@ SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
 QUARTER_TRIPLE = FunctionTriple(Power(p=0.25), Power(p=0.25), Power(p=0.5))
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def small_config(**overrides):
@@ -244,19 +247,20 @@ class TestEvaluate:
 
 class TestParamResolution:
     def test_thm22_never_in_excluded_band(self):
-        setting = InequalitySetting(id=InequalityId.THM22_GWYD, regime="both")
+        setting = InequalitySetting(id=InequalityId.THM22_GWYD)
         p = _block_params(setting, np.arange(500), seed=3, dim=2, ordinal=0)
         s = p["alpha"] + p["beta"]
         assert not np.any((0.5 < s) & (s < 1.0))
         assert np.all(p["alpha"] >= 0) and np.all(p["beta"] >= 0)
 
-    def test_regime_low_high(self):
-        low = InequalitySetting(id=InequalityId.THM22_GWYD, regime="low")
-        high = InequalitySetting(id=InequalityId.THM22_GWYD, regime="high")
-        p = _block_params(low, np.arange(100), seed=3, dim=2, ordinal=0)
-        assert np.all(p["alpha"] + p["beta"] <= 0.5)
-        p = _block_params(high, np.arange(100), seed=3, dim=2, ordinal=0)
-        assert np.all((1.0 <= p["alpha"] + p["beta"]) & (p["alpha"] + p["beta"] <= 2.0))
+    def test_thm22_draws_both_halves(self):
+        # alpha + beta in [0, 1/2] or in [1, 2], each with probability 1/2
+        setting = InequalitySetting(id=InequalityId.THM22_GWYD)
+        p = _block_params(setting, np.arange(1000), seed=3, dim=2, ordinal=0)
+        s = p["alpha"] + p["beta"]
+        low = s <= 0.5
+        assert np.all(low | ((1.0 <= s) & (s <= 2.0)))
+        assert 400 < np.count_nonzero(low) < 600
 
     def test_alpha_grid_cycles(self):
         setting = InequalitySetting(
@@ -423,6 +427,14 @@ class TestConfig:
         cfg = small_config()
         again = config_from_dict(cfg.to_dict())
         assert again.to_dict() == cfg.to_dict()
+
+    def test_readme_example_config_builds(self):
+        # the fenced config under README's `skewlab verify` heading offers
+        # only keys that the program accepts
+        section = README.read_text(encoding="utf-8").split("### `skewlab verify")[1]
+        example = section.split("\n### ")[0].split("```json\n")[1].split("```")[0]
+        config = config_from_dict(json.loads(example))
+        assert len(config.inequalities) == example.count('"id"')
 
 
 class TestCampaign:

@@ -138,19 +138,18 @@ def entries(draw, mode):
         if not names:
             out.append(setting)
             continue
-        alpha, beta, regime = None, None, setting.regime
+        alpha, beta = None, None
         if mode == "cycled" and names == ("alpha",):
             alpha = tuple(draw(st.lists(unit, min_size=1, max_size=4)))
         elif mode == "fixed" and setting.id is InequalityId.THM22_GWYD:
             s = draw(st.floats(0.0, 0.5) | st.floats(1.0, 2.0))
             alpha = s * draw(unit)
             beta = s - alpha
-            regime = None   # a regime tag restricts only a drawn pair
         elif mode == "fixed" and setting.id is InequalityId.THM23_TILDE:
             alpha, beta = draw(st.floats(0.05, 2.0)), draw(st.floats(0.05, 2.0))
         elif mode == "fixed":
             alpha = draw(unit)
-        out.append(dataclasses.replace(setting, alpha=alpha, beta=beta, regime=regime))
+        out.append(dataclasses.replace(setting, alpha=alpha, beta=beta))
     return out
 
 

@@ -16,7 +16,6 @@ from skewlab.linalg import (
 )
 from skewlab.quantities import (
     QuantityBundle,
-    covariance,
     fgh_eigensum,
     fgh_family,
     gwyd_family,
@@ -65,28 +64,6 @@ class TestVarianceCovariance:
     def test_diagonal_qubit(self):
         rho = DensityMatrix(np.diag([0.75, 0.25]))
         assert variance(rho, HermitianMatrix(SZ)) == pytest.approx(0.75)
-
-    def test_cov_of_self_is_variance(self):
-        rng = np.random.default_rng(0)
-        rho = random_density(4, rng)
-        a = random_hermitian(4, rng)
-        cov = covariance(rho, a, a)
-        assert abs(cov.imag) < 1e-12
-        assert cov.real == pytest.approx(variance(rho, a), abs=1e-12)
-
-    def test_cov_sx_sy_purely_imaginary(self):
-        # diagonal state: Tr[rho sx sy] = i (p - q)
-        p = 0.7
-        rho = DensityMatrix(np.diag([p, 1 - p]))
-        cov = covariance(rho, HermitianMatrix(SX), HermitianMatrix(SY))
-        assert cov == pytest.approx(1j * (2 * p - 1), abs=1e-14)
-
-    def test_cov_with_identity(self):
-        rng = np.random.default_rng(1)
-        rho = random_density(3, rng)
-        a = random_hermitian(3, rng)
-        cov = covariance(rho, a, HermitianMatrix(np.eye(3)))
-        assert abs(cov) < 1e-12
 
     def test_dimension_mismatch(self):
         rho = DensityMatrix(np.eye(2) / 2)

@@ -20,7 +20,6 @@ from skewlab import harness
 from skewlab.functions import Const, Exp, FunctionTriple, Power, ScaledSum
 from skewlab.linalg import DensityMatrix, HermitianMatrix, element_table, hermitian_eigen
 from skewlab.quantities import (
-    covariance,
     fgh_eigensum,
     fgh_family,
     gwyd_family,
@@ -65,7 +64,6 @@ def cases():
     """(name, value) for every stored case, in file order."""
     for name, rho, a, b in _states():
         yield f"{name} variance", variance(rho, a)
-        yield f"{name} covariance", covariance(rho, a, b)
         yield f"{name} wy_skew", wy_skew(rho, a)
         yield f"{name} luo_u", luo_u(rho, a)
         for alpha in WYD_ALPHAS:
